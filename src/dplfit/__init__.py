@@ -17,6 +17,7 @@ from .errors import (
     DegenerateDataError,
     DplfitError,
     EmptyTailError,
+    NumericRangeError,
     ParseError,
 )
 from .ks import KsResult, PValue, ks_statistic, p_value
@@ -44,6 +45,7 @@ __all__ = [
     "KsResult",
     "MleConfig",
     "MleResult",
+    "NumericRangeError",
     "ParseError",
     "PowerLawModel",
     "PValue",

@@ -24,7 +24,7 @@ from . import __version__
 from .distribution import IntegerSample, PowerLawModel, sufficient_stat
 from .errors import DplfitError, ParseError
 from .mle import fit_beta
-from .pipeline import ScanConfig, fit_at_a, scan
+from .pipeline import ScanConfig, _seed_for_cutoff, fit_at_a, scan
 from .sampling import RNG_ALGORITHM
 
 REPORT_SCHEMA_VERSION = 1
@@ -167,9 +167,13 @@ def _base_document(spec, sample, seed, n_sim):
 
 
 def run_fit(spec, a, n_sim, seed):
-    """Fixed-cutoff analysis wrapped in a reproducible report."""
+    """Fixed-cutoff analysis wrapped in a reproducible report.
+
+    The replicas are seeded as ``scan`` seeds cutoff ``a``, so the fit
+    reproduces the scan's row for ``a`` at the same seed and n_sim.
+    """
     sample = ingest(spec)
-    fit = fit_at_a(sample, a, n_sim, seed)
+    fit = fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a))
     doc = _base_document(spec, sample, seed, n_sim)
     doc["analysis"] = "fit"
     doc["fit"] = _fit_record(fit)

@@ -5,12 +5,13 @@ n = a, a+1, ... and has survival S(n) = zeta(beta+1, n) / zeta(beta+1, a).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, EmptyTailError
-from .zeta import hurwitz_zeta
+from .errors import DegenerateDataError, EmptyTailError, NumericRangeError
+from .zeta import hurwitz_zeta, scaled_zeta
 
 # Anything closer to log(a) than this counts as "all data equal to a";
 # real near-degenerate samples sit many orders of magnitude above it.
@@ -115,7 +116,13 @@ class PowerLawModel:
             raise ValueError(f"cutoff must be >= 1, got {self.a}")
         if not self.beta > 0:
             raise ValueError(f"exponent must be positive, got {self.beta}")
-        object.__setattr__(self, "zeta_norm", hurwitz_zeta(self.beta + 1.0, self.a))
+        norm = hurwitz_zeta(self.beta + 1.0, self.a)
+        if not norm >= sys.float_info.min:
+            raise NumericRangeError(
+                f"zeta({self.beta + 1.0:.6g}, {self.a}) = {norm:.3g} is below the "
+                "double-precision range; the cutoff and exponent are too large"
+            )
+        object.__setattr__(self, "zeta_norm", norm)
 
     def _check_support(self, n):
         if np.ndim(n) == 0:
@@ -149,11 +156,14 @@ def log_likelihood(stat, a, beta):
 
     l(beta) = -ln zeta(beta+1, a) - (beta+1) * ln G_a,
 
-    with ln G_a the mean log of the data retained above the cutoff.
+    with ln G_a the mean log of the data retained above the cutoff.  It is
+    evaluated as -ln Z(s, a) - s (ln G_a - ln a), Z(s, a) = a^s zeta(s, a),
+    which stays in range for every cutoff.
     """
     if not beta > 0:
         raise ValueError(f"exponent must be positive, got {beta}")
-    return -math.log(hurwitz_zeta(beta + 1.0, a)) - (beta + 1.0) * stat.log_geo_mean
+    s = beta + 1.0
+    return -math.log(scaled_zeta(s, a)) - s * (stat.log_geo_mean - math.log(a))
 
 
 def sigma_beta(beta_emp, n_a):
@@ -163,13 +173,21 @@ def sigma_beta(beta_emp, n_a):
     return beta_emp / math.sqrt(n_a)
 
 
+def at_cutoff(log_geo_mean, a):
+    """Whether a mean log (scalar or array) sits at ln a, i.e. all data equal a.
+
+    There the likelihood increases without bound in beta.
+    """
+    return log_geo_mean <= math.log(a) + _LOG_DEGENERACY_EPS
+
+
 def check_identifiable(stat, a):
     """Raise DegenerateDataError unless the likelihood has an interior maximum."""
     if stat.n_a < 2:
         raise DegenerateDataError(
             f"need at least 2 observations above the cutoff, got {stat.n_a}"
         )
-    if stat.log_geo_mean <= math.log(a) + _LOG_DEGENERACY_EPS:
+    if at_cutoff(stat.log_geo_mean, a):
         raise DegenerateDataError(
             f"all retained data equal the cutoff {a}; "
             "the likelihood increases without bound in beta"

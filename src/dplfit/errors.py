@@ -17,6 +17,10 @@ class ConvergenceError(DplfitError, RuntimeError):
     """The likelihood maximizer exhausted its budget or ran into a search bound."""
 
 
+class NumericRangeError(DplfitError, ArithmeticError):
+    """A quantity falls outside double precision, e.g. zeta(beta+1, a) at a huge cutoff."""
+
+
 class ParseError(DplfitError, ValueError):
     """An input file violates its format grammar."""
 

@@ -7,11 +7,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import PowerLawModel, sufficient_stat
-from .errors import ConvergenceError, DegenerateDataError, EmptyTailError
-from .ks import PValue, ks_statistic, p_value
-from .mle import DEFAULT_MLE_CONFIG, fit_beta
-from .sampling import RETRY_STREAM_BASE, RngStream, SamplerParams, sample_n
+from .distribution import PowerLawModel, at_cutoff, sufficient_stat
+from .errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    EmptyTailError,
+    NumericRangeError,
+)
+from .ks import PValue, ks_distances, ks_points, ks_statistic, p_value
+from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
+from .sampling import RngStream, SamplerParams, replica_stream, sample_n
+
+# Replicas are drawn, refit and measured this many at a time; only one
+# block's KS points are held at once.
+REPLICA_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -88,9 +97,14 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     p-value is the fraction of replicas whose distance strictly exceeds
     the empirical one.
 
-    A replica whose refit fails to converge (or is degenerate) is
-    regenerated from a reserved substream; regenerations are counted and
-    more than 1% of them marks the result unreliable.
+    Replica i is drawn from substream ``replica_stream(i, attempt)``.  A
+    replica whose refit is degenerate or fails to converge is regenerated
+    at the next attempt; regenerations are counted and more than 1% of
+    them marks the result unreliable.  Replicas are processed in blocks of
+    ``REPLICA_BLOCK``: the refits of a block are one ``solve_betas`` call
+    and its KS distances one ``ks_distances`` call.  Each replica's
+    result depends only on (seed, i), not on the blocks or on other
+    replicas' regenerations.
     """
     tail = sample.truncated(a)
     stat = sufficient_stat(tail)
@@ -103,22 +117,36 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     d_sims = np.empty(n_sim)
     regenerated = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    for i in range(n_sim):
-        stream = i
-        while True:
-            sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
-            try:
-                refit = fit_beta(sufficient_stat(sim), a, mle_config)
-            except (DegenerateDataError, ConvergenceError):
-                if regenerated >= retry_budget:
-                    raise ConvergenceError(
-                        f"more than {retry_budget} replica refits failed at a={a}"
-                    )
-                stream = RETRY_STREAM_BASE + regenerated
-                regenerated += 1
-                continue
-            break
-        d_sims[i] = ks_statistic(sim, PowerLawModel(a, refit.beta_emp)).d
+    for first in range(0, n_sim, REPLICA_BLOCK):
+        size = min(REPLICA_BLOCK, n_sim - first)
+        log_g = np.empty(size)
+        beta = np.empty(size)
+        points = [None] * size
+        emp = [None] * size
+        attempt = np.zeros(size, dtype=np.int64)
+        todo = np.arange(size)
+        while todo.size:
+            for j in todo.tolist():
+                stream = replica_stream(first + j, int(attempt[j]))
+                # Keep ``sim`` bound until the next draw: reducing
+                # sample_n(...) in one expression frees each replica just
+                # before the next is drawn, and the allocator's reuse of
+                # that memory makes sample_n ~35% slower on large tails.
+                sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
+                log_g[j] = sufficient_stat(sim).log_geo_mean
+                points[j], emp[j] = ks_points(sim, a)
+            fit = todo[~at_cutoff(log_g[todo], a)]
+            beta[fit], _, status = solve_betas(log_g[fit], a, mle_config)
+            solved = np.zeros(size, dtype=bool)
+            solved[fit[status == SOLVED]] = True
+            todo = todo[~solved[todo]]
+            regenerated += todo.size
+            if regenerated > retry_budget:
+                raise ConvergenceError(
+                    f"more than {retry_budget} replica refits failed at a={a}"
+                )
+            attempt[todo] += 1
+        d_sims[first:first + size] = ks_distances(beta + 1.0, a, points, emp)
 
     return FitAtA(
         a=int(a),
@@ -144,7 +172,8 @@ def _fit_one_guarded(args):
     sample, a, n_sim, seed, mle_config = args
     try:
         return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a), mle_config)
-    except (EmptyTailError, DegenerateDataError, ConvergenceError) as err:
+    except (EmptyTailError, DegenerateDataError, ConvergenceError,
+            NumericRangeError) as err:
         return (type(err).__name__, str(err))
 
 

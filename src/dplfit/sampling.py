@@ -31,6 +31,16 @@ _MAX_PROPOSAL = float(2**63 - 1024)
 RETRY_STREAM_BASE = 2**32
 
 
+def replica_stream(replica, attempt):
+    """Substream id of a replica's draw: the replica index itself at attempt
+    0, then one reserved id per regeneration (replica < RETRY_STREAM_BASE).
+
+    A replica's variates thus depend only on (seed, replica, attempt), not
+    on how many other replicas were regenerated before it.
+    """
+    return attempt * RETRY_STREAM_BASE + replica
+
+
 @dataclass
 class RngStream:
     """Deterministic uniform source: one (seed, stream_id) pair, one stream."""

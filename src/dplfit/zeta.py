@@ -12,6 +12,13 @@ accumulated only while the term magnitudes keep strictly decreasing, and
 truncated at the first term that turns back up.  With the default
 M = 14 the terms still decrease at k = 18 for every exponent this
 package can produce (s <= 51), so the turnover matters only for small M.
+
+The vectorised kernel ``scaled_zeta`` takes every term relative to a^-s,
+so it returns Z(s, a) = a^s zeta(s, a), which is of order a/(s-1) + 1 and
+neither overflows nor underflows for any cutoff.  Differentiated term by
+term (Johansson, "Rigorous high-precision computation of the Hurwitz
+zeta function and its derivatives", arXiv:1309.2877) the same sum gives
+dZ/ds and d2Z/ds2, from which the likelihood equation is solved.
 """
 
 from fractions import Fraction
@@ -46,7 +53,7 @@ def correction_term(k, s, a, head_terms=DEFAULT_HEAD_TERMS, prev=None):
         raise ValueError(f"correction index must be >= 1, got {k}")
     am = float(a + head_terms)
     if k == 1:
-        return s / (2.0 * am ** (s + 1.0))
+        return 0.5 * s * am ** -(s + 1.0)
     if prev is None:
         raise ValueError("recursion for k >= 2 needs the previous term")
     return prev * (s + 2 * k - 2.0) * (s + 2 * k - 3.0) / (2 * k * (2 * k - 1.0) * am * am)
@@ -70,7 +77,8 @@ def _hurwitz_scalar(s, a, head_terms, max_corrections):
     parts = [float(a + k) ** -s for k in range(head_terms)]
     parts.append(am ** (1.0 - s) / (s - 1.0))
     parts.append(0.5 * am ** -s)
-    c = s / (2.0 * am ** (s + 1.0))
+    # a negative power underflows to 0 where a positive one would overflow
+    c = 0.5 * s * am ** -(s + 1.0)
     term = BERNOULLI_EVEN[0] * c
     parts.append(term)
     prev = abs(term)
@@ -86,26 +94,81 @@ def _hurwitz_scalar(s, a, head_terms, max_corrections):
     return math.fsum(parts)
 
 
-def _hurwitz_array(s, a, head_terms, max_corrections):
-    a = np.asarray(a, dtype=np.float64)
-    k = np.arange(head_terms, dtype=np.float64).reshape(-1, 1)
-    total = ((a + k) ** -s).sum(axis=0)
-    am = a + head_terms
-    total += am ** (1.0 - s) / (s - 1.0) + 0.5 * am ** -s
+def scaled_zeta(s, a, derivatives=False, head_terms=DEFAULT_HEAD_TERMS,
+                max_corrections=DEFAULT_MAX_CORRECTIONS):
+    """Z(s, a) = a^s zeta(s, a), elementwise over arrays s > 1 and a >= 1.
 
-    terms = np.empty((max_corrections,) + a.shape)
-    c = s / (2.0 * am ** (s + 1.0))
-    terms[0] = BERNOULLI_EVEN[0] * c
+    Each term is taken relative to a^-s: the head terms are
+    exp(-s log1p(k/a)) and the tail terms carry exp(-s log1p(M/a)).  The
+    correction series is truncated per element by the same turnover rule
+    as the scalar sum.  With ``derivatives`` the result is the triple
+    (Z, dZ/ds, d2Z/ds2), each term differentiated in closed form.
+
+    Every operation is elementwise and the terms are added in a fixed
+    order, so an element's value does not depend on the other elements
+    it is evaluated with.  The arguments are not validated.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    shape = np.broadcast_shapes(s.shape, a.shape)
+    z = np.ones(shape)  # the k = 0 head term
+    if derivatives:
+        z1 = np.zeros(shape)
+        z2 = np.zeros(shape)
+    for k in range(1, head_terms):
+        ell = np.log1p(k / a)
+        t = np.exp(-s * ell)
+        z += t
+        if derivatives:
+            t *= ell
+            z1 -= t
+            z2 += t * ell
+
+    am = a + head_terms
+    ell = np.log1p(head_terms / a)
+    e = np.exp(-s * ell)
+    inv_sm1 = 1.0 / (s - 1.0)
+    integral = am * e * inv_sm1
+    half = 0.5 * e
+    z += integral + half
+    if derivatives:
+        rate = ell + inv_sm1
+        z1 -= integral * rate + half * ell
+        z2 += integral * (rate * rate + inv_sm1 * inv_sm1) + half * (ell * ell)
+
+    c = 0.5 * s * e / am
+    term = BERNOULLI_EVEN[0] * c
+    corr = term.copy()
+    prev = np.abs(term)
+    alive = np.ones(shape, dtype=bool)
     inv_am2 = 1.0 / (am * am)
+    if derivatives:
+        # d/ds ln C_{2j-1} = sum_{i<2j-1} 1/(s+i) - ell; d2/ds2 = -sum 1/(s+i)^2
+        dlog = 1.0 / s - ell
+        d2log = -1.0 / (s * s)
+        corr1 = term * dlog
+        corr2 = term * (dlog * dlog + d2log)
     for j in range(2, max_corrections + 1):
         c = c * ((s + 2 * j - 2.0) * (s + 2 * j - 3.0) / (2 * j * (2 * j - 1.0))) * inv_am2
-        terms[j - 1] = BERNOULLI_EVEN[j - 1] * c
-    mags = np.abs(terms)
-    keep = np.empty(mags.shape, dtype=bool)
-    keep[0] = True
-    np.logical_and.accumulate(mags[1:] < mags[:-1], axis=0, out=keep[1:])
-    total += (terms * keep).sum(axis=0)
-    return total
+        term = BERNOULLI_EVEN[j - 1] * c
+        mag = np.abs(term)
+        alive &= mag < prev
+        prev = mag
+        term = np.where(alive, term, 0.0)
+        corr += term
+        if derivatives:
+            u = 1.0 / (s + 2 * j - 3.0)
+            v = 1.0 / (s + 2 * j - 2.0)
+            dlog = dlog + (u + v)
+            d2log = d2log - (u * u + v * v)
+            corr1 += term * dlog
+            corr2 += term * (dlog * dlog + d2log)
+    z += corr
+    if not derivatives:
+        return z
+    z1 += corr1
+    z2 += corr2
+    return z, z1, z2
 
 
 def hurwitz_zeta(s, a=1, head_terms=DEFAULT_HEAD_TERMS,
@@ -113,8 +176,9 @@ def hurwitz_zeta(s, a=1, head_terms=DEFAULT_HEAD_TERMS,
     """Evaluate zeta(s, a) = sum_{k>=0} (a+k)^-s for s > 1, integer a >= 1.
 
     ``a`` may be a scalar or an integer array; an array input returns an
-    array evaluated elementwise (one vectorized pass, same truncation
-    rule as the scalar path).
+    array evaluated elementwise, as a^-s Z(s, a) from ``scaled_zeta``
+    (same truncation rule as the scalar path).  Values below the
+    floating-point range come out as 0 or subnormal.
     """
     s = float(s)
     if np.ndim(a) == 0:
@@ -128,4 +192,6 @@ def hurwitz_zeta(s, a=1, head_terms=DEFAULT_HEAD_TERMS,
     if a.size and a.min() < 1:
         raise ValueError("lower limits must be positive integers")
     _check_args(s, 1, head_terms, max_corrections)
-    return _hurwitz_array(s, a, head_terms, max_corrections)
+    a = a.astype(np.float64)
+    return a ** -s * scaled_zeta(s, a, head_terms=head_terms,
+                                 max_corrections=max_corrections)

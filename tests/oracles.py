@@ -56,3 +56,30 @@ def grid_argmax_beta(stat, a, lo=0.05, hi=10.0, step=1e-6):
     fine = np.arange(center - 2e-3, center + 2e-3, step)
     vals = np.array([log_likelihood(stat, a, b) for b in fine])
     return float(fine[int(np.argmax(vals))])
+
+
+def psi_mpmath(s, a, dps=50, head=60, corrections=20):
+    """psi(s, a) = -d/ds ln zeta(s, a), the model mean of ln X, to ~dps digits.
+
+    mpmath's own zeta(s, a) loses digits at large a and s (at s = 51,
+    a = 10^4 it is off by 5e-13 even at 120 digits), so the Euler-Maclaurin
+    series is summed here in mpmath, relative to a^-s, with a head of
+    ``head`` terms and ``corrections`` Bernoulli terms (far more than the
+    float kernel's 14 and 18), and differentiated numerically by mpmath.diff.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(a)
+        n = a + head
+
+        def log_scaled_zeta(x):
+            r = (n / a) ** -x
+            total = mpmath.fsum((1 + k / a) ** -x for k in range(head))
+            total += n * r / (x - 1) + r / 2
+            for j in range(1, corrections + 1):
+                total += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                          * mpmath.rf(x, 2 * j - 1) * r * n ** (1 - 2 * j))
+            return mpmath.log(total)
+
+        return mpmath.log(a) - mpmath.diff(log_scaled_zeta, mpmath.mpf(s))

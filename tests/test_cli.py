@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from dplfit.cli import (
     run_scan,
     tokenize_text,
 )
-from dplfit.distribution import IntegerSample, PowerLawModel
+from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
 from dplfit.errors import DplfitError, ParseError
+from dplfit.mle import fit_beta
 from dplfit.pipeline import ScanConfig
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
@@ -226,6 +229,16 @@ def test_run_scan_report_and_determinism(tmp_path):
     assert "conditional on the scan" in doc["notes"][0]
 
 
+def test_fit_reproduces_scan_row(tmp_path):
+    f = make_power_law_file(tmp_path, n=3000, beta=1.13, seed=42)
+    spec = InputSpec(str(f))
+    scan_doc = run_scan(spec, ScanConfig(a_values=(1, 2), n_sim=100, seed=7)).document
+    row = scan_doc["scan"]["fits"][1]
+    fit = run_fit(spec, a=2, n_sim=100, seed=7).document["fit"]
+    assert row["a"] == 2
+    assert fit == row  # n_exceed, d_emp, beta_emp and every other field
+
+
 def test_report_written_file_round_trips(tmp_path):
     f = make_power_law_file(tmp_path, n=400)
     record = run_fit(InputSpec(str(f)), a=1, n_sim=100, seed=2)
@@ -362,3 +375,29 @@ def test_parser_has_documented_surface():
     text = parser.format_help()
     for sub in ["fit", "scan", "curves", "tokenize"]:
         assert sub in text
+
+
+def test_cli_fit_at_huge_cutoff(tmp_path, capsys):
+    a = 10**12
+    values = [a, a + 1, a + 3, a + 5, a + 100, 2 * a]
+    f = tmp_path / "huge.counts"
+    f.write_text("".join(f"{v} 1\n" for v in values), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["fit", str(f), "--format", "counts", "--a", str(a),
+                 "--nsim", "100", "--out", str(out)])
+    assert code == 0
+    beta = json.loads(out.read_text(encoding="utf-8"))["fit"]["beta_emp"]
+    assert beta == fit_beta(sufficient_stat(IntegerSample(values)), a).beta_emp
+    capsys.readouterr()
+
+    # a fitted exponent of ~29.6 at this cutoff puts zeta(beta+1, a) below
+    # double range: an operational error, not a traceback
+    f.write_text(f"{a} 1\n{107 * 10**10} 1\n", encoding="utf-8")
+    code = main(["fit", str(f), "--format", "counts", "--a", str(a), "--nsim", "100"])
+    assert code == 1
+    assert "double-precision range" in capsys.readouterr().err
+
+
+def test_cli_import_needs_no_scipy():
+    code = "import dplfit.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -13,7 +13,13 @@ from dplfit.distribution import (
     sigma_beta,
     sufficient_stat,
 )
-from dplfit.errors import DegenerateDataError, EmptyTailError
+from dplfit.errors import (
+    DegenerateDataError,
+    DplfitError,
+    EmptyTailError,
+    NumericRangeError,
+)
+from dplfit.zeta import hurwitz_zeta
 
 from oracles import zeta_bruteforce
 
@@ -230,3 +236,15 @@ def test_degenerate_detection():
     with pytest.raises(DegenerateDataError):
         check_identifiable(SufficientStat(1, 2.0), 1)
     check_identifiable(sufficient_stat(IntegerSample([4, 4, 4, 5])), 4)
+
+
+def test_huge_cutoff_zeta_range():
+    # the scalar zeta underflows quietly instead of overflowing, and a
+    # model whose normalisation leaves double range is a typed error
+    assert hurwitz_zeta(31.0, 10**12) == 0.0
+    assert PowerLawModel(10**12, 8.0).survival(10**12 + 1) < 1.0
+    with pytest.raises(NumericRangeError) as err:
+        PowerLawModel(10**12, 30.0)
+    assert isinstance(err.value, DplfitError)
+    stat = SufficientStat(n_a=2, log_geo_mean=math.log(10**12) + 0.03)
+    assert math.isfinite(log_likelihood(stat, 10**12, 30.0))

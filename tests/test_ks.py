@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dplfit.distribution import IntegerSample, PowerLawModel
+from dplfit.errors import NumericRangeError
 from dplfit.ks import ks_statistic, p_value
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
@@ -26,6 +27,13 @@ def test_small_sample_matches_exhaustive_scan():
     d_oracle, n_oracle = ks_exhaustive(s, m, beyond=10**6 - 4)
     assert abs(r.d - d_oracle) < 1e-14
     assert r.argmax_n == n_oracle
+
+
+def test_largest_int64_value_is_a_typed_error():
+    # the point v + 1 after the largest value would wrap around
+    top = np.iinfo(np.int64).max
+    with pytest.raises(NumericRangeError):
+        ks_statistic(IntegerSample([2**62, top]), PowerLawModel(2**62, 2.0))
 
 
 def test_mismatch_below_cutoff():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dplfit import pipeline
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
+from dplfit.errors import ConvergenceError, DegenerateDataError
 from dplfit.ks import ks_statistic
-from dplfit.mle import fit_beta
+from dplfit.mle import MleConfig, fit_beta
 from dplfit.pipeline import (
     ScanConfig,
     _seed_for_cutoff,
@@ -11,7 +13,7 @@ from dplfit.pipeline import (
     fit_at_a,
     scan,
 )
-from dplfit.sampling import RngStream, SamplerParams, sample_n
+from dplfit.sampling import RngStream, SamplerParams, replica_stream, sample_n
 
 
 def power_law_data(beta, n, seed, a=1):
@@ -68,6 +70,52 @@ def test_replica_distance_uses_own_refit():
         # and against the *empirical* exponent it would generally differ
         d_wrong = ks_statistic(sim, PowerLawModel(1, fit.beta_emp)).d
         assert d != d_wrong
+
+
+def test_replicas_do_not_depend_on_blocks(monkeypatch):
+    data = power_law_data(1.2, 200, seed=31)
+    small = fit_at_a(data, 1, 100, seed=8, keep_d_sims=True)
+    middle = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+    large = fit_at_a(data, 1, 600, seed=8, keep_d_sims=True)
+    assert pipeline.REPLICA_BLOCK < 300
+    assert large.d_sims[:100] == small.d_sims
+    assert large.d_sims[:300] == middle.d_sims
+    monkeypatch.setattr(pipeline, "REPLICA_BLOCK", 7)
+    assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == middle
+
+
+def _replica_by_hand(params, n_a, seed, i, config):
+    """Replica i drawn and refit one attempt at a time, as documented."""
+    attempt = 0
+    while True:
+        stream = replica_stream(i, attempt)
+        sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
+        try:
+            beta = fit_beta(sufficient_stat(sim), params.a, config).beta_emp
+        except (DegenerateDataError, ConvergenceError):
+            attempt += 1
+            continue
+        return attempt, ks_statistic(sim, PowerLawModel(params.a, beta)).d
+
+
+def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
+    # Narrow bounds force bound hits on top of degenerate replicas, so many
+    # replicas are regenerated; each must still be the first good attempt
+    # of its own substreams, whatever failed before it.
+    data = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
+    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    fit = fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    params = SamplerParams(1, fit.beta_emp)
+    attempts = []
+    for i in range(100):
+        attempt, d = _replica_by_hand(params, fit.n_a, 21, i, config)
+        assert d == fit.d_sims[i]
+        attempts.append(attempt)
+    assert fit.regenerated == sum(attempts) > 10
+    longer = fit_at_a(data, 1, 160, seed=21, mle_config=config, keep_d_sims=True)
+    assert longer.d_sims[:100] == fit.d_sims
+    monkeypatch.setattr(pipeline, "REPLICA_BLOCK", 3)
+    assert fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True) == fit
 
 
 def test_no_exact_ties_between_replicas_and_data():
