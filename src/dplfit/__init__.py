@@ -29,10 +29,9 @@ from .sampling import (
     SamplerParams,
     accept_test,
     acceptance_ratio,
-    propose,
     sample_n,
 )
-from .zeta import BERNOULLI_EVEN, correction_term, hurwitz_zeta
+from .zeta import BERNOULLI_EVEN, hurwitz_zeta
 
 __all__ = [
     "BERNOULLI_EVEN",
@@ -57,7 +56,6 @@ __all__ = [
     "SufficientStat",
     "accept_test",
     "acceptance_ratio",
-    "correction_term",
     "default_cutoffs",
     "fit_at_a",
     "fit_beta",
@@ -65,7 +63,6 @@ __all__ = [
     "ks_statistic",
     "log_likelihood",
     "p_value",
-    "propose",
     "sample_n",
     "scan",
     "sigma_beta",

@@ -13,7 +13,9 @@ corpus   : free text; the data are the frequencies of each distinct
 import argparse
 import hashlib
 import json
+import os
 import re
+import stat
 import sys
 import unicodedata
 from collections import Counter
@@ -53,6 +55,7 @@ def tokenize_text(text):
 
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+_INT64_MAX = 2**63 - 1
 
 
 def _parse_positive_int(token, path, lineno, what):
@@ -64,52 +67,72 @@ def _parse_positive_int(token, path, lineno, what):
         raise ParseError(path, lineno, f"zero {what} not allowed (support starts at 1)")
     if value < 0:
         raise ParseError(path, lineno, f"negative {what} not allowed: {value}")
+    if value > _INT64_MAX:
+        raise ParseError(path, lineno, f"{what} {value} exceeds 2^63 - 1")
     return value
 
 
 def ingest(spec):
     """Read an input file into an IntegerSample.
 
-    Corpus mode returns the multiset of token frequencies; a counts file
-    is expanded value-by-count.  Raises ParseError with a line number on
-    malformed input and DplfitError on empty input.
+    Every format is read into one tally of value -> count: corpus mode
+    counts the token frequencies, an integers file counts each line once,
+    and a counts file adds each line's count to its value (a value listed
+    twice is summed).  No count is ever expanded into observations.
+    Raises ParseError with a line number on malformed input, on a value
+    or count above 2^63 - 1 and where the total count passes it, and
+    DplfitError on empty input.
     """
     path = Path(spec.path)
     text = path.read_text(encoding=spec.encoding)
     if spec.format == "corpus":
-        freqs = Counter(tokenize_text(text)).values()
-        if not freqs:
+        tally = Counter(Counter(tokenize_text(text)).values())
+        if not tally:
             raise DplfitError(f"{path}: no tokens found")
-        return IntegerSample(sorted(freqs))
-
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if spec.format == "integers":
-            values.append(_parse_positive_int(line, path, lineno, "value"))
-        else:
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(path, lineno, f"expected 'value count', got {line!r}")
-            value = _parse_positive_int(fields[0], path, lineno, "value")
-            count = _parse_positive_int(fields[1], path, lineno, "count")
-            values.extend([value] * count)
-    if not values:
-        raise DplfitError(f"{path}: no values found")
-    return IntegerSample(values)
-
-
-def export_integers(sample, path):
-    """Write a sample in integers format (one value per line)."""
-    Path(path).write_text(
-        "\n".join(str(v) for v in sample.values) + "\n", encoding="utf-8"
-    )
+    else:
+        tally = {}
+        total = 0
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if spec.format == "integers":
+                value = _parse_positive_int(line, path, lineno, "value")
+                count = 1
+            else:
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ParseError(path, lineno, f"expected 'value count', got {line!r}")
+                value = _parse_positive_int(fields[0], path, lineno, "value")
+                count = _parse_positive_int(fields[1], path, lineno, "count")
+            total += count
+            if total > _INT64_MAX:
+                raise ParseError(path, lineno, f"total count {total} exceeds 2^63 - 1")
+            tally[value] = tally.get(value, 0) + count
+        if not tally:
+            raise DplfitError(f"{path}: no values found")
+    values = sorted(tally)
+    return IntegerSample(values, [tally[v] for v in values])
 
 
 # --------------------------------------------------------------------------
 # reports
+
+
+def _write_output(path, text):
+    """Replace the contents of ``path`` with ``text`` (UTF-8).
+
+    An existing file is overwritten in place and then cut to length rather
+    than truncated to zero first: on ext4, truncating a file to zero and
+    writing it anew makes the next rewrite of that file wait until the
+    previous contents are on disk, tens of milliseconds per file.  Pipes
+    and devices (``--out /dev/stdout``) are written without the cut.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate(len(data))
 
 
 def _input_provenance(spec):
@@ -149,7 +172,7 @@ class ReportRecord:
         return json.dumps(self.document, sort_keys=True, indent=2) + "\n"
 
     def write(self, path):
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        _write_output(path, self.to_json())
 
 
 def _base_document(spec, sample, seed, n_sim):
@@ -223,7 +246,7 @@ def emit_curves(sample, model, destination):
                     emp_s.tolist(), fit_s.tolist()))
     lines = ["n\temp_f\tfit_f\temp_S\tfit_S"]
     lines += [f"{n}\t{ef!r}\t{ff!r}\t{es!r}\t{fs!r}" for n, ef, ff, es, fs in rows]
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_output(destination, "\n".join(lines) + "\n")
     return rows
 
 
@@ -316,7 +339,7 @@ def _cmd_tokenize(args):
              sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
+        _write_output(args.out, body)
     else:
         sys.stdout.write(body)
     return 0

@@ -16,75 +16,64 @@ from .zeta import hurwitz_zeta, scaled_zeta
 # Anything closer to log(a) than this counts as "all data equal to a";
 # real near-degenerate samples sit many orders of magnitude above it.
 _LOG_DEGENERACY_EPS = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class IntegerSample:
-    """Multiset of positive integers, stored sorted for survival queries."""
+    """Multiset of positive integers, held as its table of distinct values.
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
+    ``IntegerSample(values)`` tallies a sequence of observations;
+    ``IntegerSample(values, counts)`` takes the table itself, with strictly
+    increasing ``values`` and positive ``counts``.  Either way the sample
+    is ``unique_values`` (sorted), ``unique_counts`` and ``size``, the
+    number of observations; a count is never expanded.
+    """
+
+    def __init__(self, values, counts=None):
+        values = np.asarray(values, dtype=np.int64)
+        if values.ndim != 1:
             raise ValueError("sample values must be one-dimensional")
-        if arr.size == 0:
+        if values.size == 0:
             raise ValueError("sample must contain at least one value")
-        if arr.min() < 1:
+        if counts is None:
+            size = values.size
+            values, counts = np.unique(values, return_counts=True)
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != values.shape:
+                raise ValueError("values and counts must have the same length")
+            if np.any(values[1:] <= values[:-1]):
+                raise ValueError("tabulated values must be strictly increasing")
+            if counts.min() < 1:
+                raise ValueError("counts must be >= 1")
+            size = sum(counts.tolist())
+            if size > _INT64_MAX:
+                raise ValueError(f"total count {size} exceeds 2^63 - 1")
+        if values[0] < 1:
             raise ValueError("sample values must be >= 1")
-        self.values = np.sort(arr)
-        self._unique = None
-        self._counts = None
-
-    def __len__(self):
-        return int(self.values.size)
-
-    @property
-    def size(self):
-        return int(self.values.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerSample):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
+        self.unique_values = values
+        self.unique_counts = counts
+        self.size = size
 
     def __repr__(self):
-        return f"IntegerSample(n={self.size}, min={self.values[0]}, max={self.values[-1]})"
-
-    def _uniq(self):
-        if self._unique is None:
-            self._unique, self._counts = np.unique(self.values, return_counts=True)
-        return self._unique, self._counts
-
-    @property
-    def unique_values(self):
-        return self._uniq()[0]
-
-    @property
-    def unique_counts(self):
-        return self._uniq()[1]
+        return (f"IntegerSample(n={self.size}, min={self.unique_values[0]}, "
+                f"max={self.unique_values[-1]})")
 
     @property
     def survival_counts(self):
         """N_v = number of data >= v, for each distinct value v."""
-        counts = self.unique_counts
-        return counts[::-1].cumsum()[::-1]
-
-    def count_at_least(self, n):
-        """Number of data >= n; n may be a scalar or array."""
-        idx = np.searchsorted(self.values, n, side="left")
-        out = self.values.size - idx
-        return int(out) if np.ndim(n) == 0 else out
+        return self.unique_counts[::-1].cumsum()[::-1]
 
     def truncated(self, a):
         """Sample of the values >= a, multiplicities preserved."""
         if a < 1:
             raise ValueError(f"cutoff must be >= 1, got {a}")
-        start = int(np.searchsorted(self.values, a, side="left"))
-        if start == self.values.size:
+        start = int(np.searchsorted(self.unique_values, a, side="left"))
+        if start == self.unique_values.size:
             raise EmptyTailError(
-                f"no values >= {a} (sample maximum is {self.values[-1]})"
+                f"no values >= {a} (sample maximum is {self.unique_values[-1]})"
             )
-        return IntegerSample(self.values[start:])
+        return IntegerSample(self.unique_values[start:], self.unique_counts[start:])
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,8 @@ def sufficient_stat(sample):
     """Sufficient statistic of an (already truncated) sample."""
     return SufficientStat(
         n_a=sample.size,
-        log_geo_mean=float(np.log(sample.values).mean()),
+        log_geo_mean=float(sample.unique_counts @ np.log(sample.unique_values)
+                           / sample.size),
     )
 
 
@@ -125,30 +115,21 @@ class PowerLawModel:
         object.__setattr__(self, "zeta_norm", norm)
 
     def _check_support(self, n):
-        if np.ndim(n) == 0:
-            if n < self.a:
-                raise ValueError(f"n={n} is below the lower cutoff a={self.a}")
-        elif np.asarray(n).min() < self.a:
+        if np.min(n) < self.a:
             raise ValueError(f"some n are below the lower cutoff a={self.a}")
 
     def pmf(self, n):
         """Probability of the value n (scalar or array), n >= a."""
         self._check_support(n)
-        if np.ndim(n) == 0:
-            return 1.0 / (self.zeta_norm * float(n) ** (self.beta + 1.0))
-        return 1.0 / (self.zeta_norm * np.asarray(n, dtype=np.float64) ** (self.beta + 1.0))
+        out = 1.0 / (self.zeta_norm * np.asarray(n, dtype=np.float64) ** (self.beta + 1.0))
+        return float(out) if out.ndim == 0 else out
 
     def survival(self, n):
         """Probability of a value >= n (scalar or array), n >= a; S(a) = 1."""
         self._check_support(n)
-        if np.ndim(n) == 0:
-            if n == self.a:
-                return 1.0
-            return hurwitz_zeta(self.beta + 1.0, int(n)) / self.zeta_norm
         n = np.asarray(n)
-        out = hurwitz_zeta(self.beta + 1.0, n) / self.zeta_norm
-        out[n == self.a] = 1.0
-        return out
+        out = np.where(n == self.a, 1.0, hurwitz_zeta(self.beta + 1.0, n) / self.zeta_norm)
+        return float(out) if out.ndim == 0 else out
 
 
 def log_likelihood(stat, a, beta):

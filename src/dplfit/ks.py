@@ -38,27 +38,30 @@ def ks_points(sample, a):
     evaluate at each distinct observed value v, at v+1, and at the cutoff
     itself.  The points come sorted, the cutoff first.
     """
-    values = sample.values
-    if values[0] < a:
+    v = sample.unique_values
+    if v[0] < a:
         raise ValueError(
             f"sample contains values below the cutoff a={a}; truncate first"
         )
-    if values[-1] == _INT64_MAX:
-        raise NumericRangeError(f"the point {values[-1]} + 1 does not fit in int64")
-    # values are sorted, so a, v_0, v_0+1, v_1, v_1+1, ... never decreases;
-    # drop its repeats (a = v_0, v_i + 1 = v_{i+1})
-    step = values[1:] != values[:-1]
-    v = np.concatenate((values[:1], values[1:][step]))
+    if v[-1] == _INT64_MAX:
+        raise NumericRangeError(f"the point {v[-1]} + 1 does not fit in int64")
+    # a, v_0, v_0+1, v_1, v_1+1, ... never decreases; the data >= each point
+    # are N_a at a, N_v at v and N_{v'} at v+1, v' the next distinct value.
+    # Drop the repeats (a = v_0, v_i + 1 = v_{i+1}), which carry equal counts.
+    above = sample.survival_counts
     merged = np.empty(2 * v.size + 1, dtype=np.int64)
     merged[0] = a
     merged[1::2] = v
     merged[2::2] = v + 1
+    count = np.empty(merged.size, dtype=np.int64)
+    count[0] = sample.size
+    count[1::2] = above
+    count[2:-1:2] = above[1:]
+    count[-1] = 0
     fresh = np.empty(merged.size, dtype=bool)
     fresh[0] = True
     np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-    points = merged[fresh]
-    emp = (values.size - np.searchsorted(values, points)) / values.size
-    return points, emp
+    return merged[fresh], count[fresh] / sample.size
 
 
 def _deviations(s, a, points, emp):

@@ -128,10 +128,6 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
         while todo.size:
             for j in todo.tolist():
                 stream = replica_stream(first + j, int(attempt[j]))
-                # Keep ``sim`` bound until the next draw: reducing
-                # sample_n(...) in one expression frees each replica just
-                # before the next is drawn, and the allocator's reuse of
-                # that memory makes sample_n ~35% slower on large tails.
                 sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
                 log_g[j] = sufficient_stat(sim).log_geo_mean
                 points[j], emp[j] = ks_points(sim, a)

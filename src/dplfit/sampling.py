@@ -30,6 +30,12 @@ _MAX_PROPOSAL = float(2**63 - 1024)
 # replicas so that retries never collide with an extended ensemble.
 RETRY_STREAM_BASE = 2**32
 
+# Proposals are tested this many at a time, so that the test's temporaries
+# stay small and are reused from chunk to chunk; whole-batch temporaries
+# are tens of MB on large tails, and mapping them afresh for every replica
+# costs more than the test itself.  The variates do not depend on it.
+_CHUNK = 1 << 14
+
 
 def replica_stream(replica, attempt):
     """Substream id of a replica's draw: the replica index itself at attempt
@@ -57,15 +63,13 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def uniform_open_closed(self, size=None):
+    def uniform_open_closed(self, size):
         """Uniforms on (0, 1]."""
-        if size is None:
-            return 1.0 - self._gen.random()
         return 1.0 - self._gen.random(size)
 
-    def uniform(self, size=None):
+    def uniform(self, size):
         """Uniforms on [0, 1)."""
-        return self._gen.random(size) if size is not None else self._gen.random()
+        return self._gen.random(size)
 
 
 @dataclass(frozen=True)
@@ -93,21 +97,6 @@ class SamplerParams:
 def _proposals_from_uniforms(params, w):
     """Map uniforms on (0, 1] to proposal values; NaN-free, inf for overflow."""
     return params.a * np.asarray(w) ** (-1.0 / params.beta)
-
-
-def proposal_mass(params, y):
-    """q(y) = (a/y)^beta - (a/(y+1))^beta, the proposal distribution."""
-    y = np.asarray(y, dtype=np.float64)
-    out = (params.a / y) ** params.beta - (params.a / (y + 1.0)) ** params.beta
-    return float(out) if out.ndim == 0 else out
-
-
-def propose(params, rng):
-    """Draw one proposal y >= a with mass q(y); oversized ones are redrawn."""
-    while True:
-        y = _proposals_from_uniforms(params, rng.uniform_open_closed())
-        if y < _MAX_PROPOSAL:
-            return max(int(y), params.a)
 
 
 def accept_test(params, y, v):
@@ -149,12 +138,15 @@ def sample_n(params, count, rng):
     while filled < count:
         batch = max(256, int(1.6 * (count - filled)) + 16)
         w = rng.uniform_open_closed(batch)
-        y = _proposals_from_uniforms(params, w)
         v = rng.uniform(batch)
-        fits = y < _MAX_PROPOSAL
-        y = np.maximum(y[fits].astype(np.int64), params.a)
-        accepted = y[accept_test(params, y, v[fits])]
-        take = min(accepted.size, count - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
+        for lo in range(0, batch, _CHUNK):
+            y = _proposals_from_uniforms(params, w[lo:lo + _CHUNK])
+            fits = y < _MAX_PROPOSAL
+            y = np.maximum(y[fits].astype(np.int64), params.a)
+            accepted = y[accept_test(params, y, v[lo:lo + _CHUNK][fits])]
+            take = min(accepted.size, count - filled)
+            out[filled:filled + take] = accepted[:take]
+            filled += take
+            if filled == count:
+                break
     return IntegerSample(out)

@@ -13,17 +13,18 @@ truncated at the first term that turns back up.  With the default
 M = 14 the terms still decrease at k = 18 for every exponent this
 package can produce (s <= 51), so the turnover matters only for small M.
 
-The vectorised kernel ``scaled_zeta`` takes every term relative to a^-s,
-so it returns Z(s, a) = a^s zeta(s, a), which is of order a/(s-1) + 1 and
-neither overflows nor underflows for any cutoff.  Differentiated term by
-term (Johansson, "Rigorous high-precision computation of the Hurwitz
-zeta function and its derivatives", arXiv:1309.2877) the same sum gives
-dZ/ds and d2Z/ds2, from which the likelihood equation is solved.
+There is one kernel, ``scaled_zeta``.  It takes every term relative to
+a^-s, so it returns Z(s, a) = a^s zeta(s, a), which is of order
+a/(s-1) + 1 and neither overflows nor underflows for any cutoff;
+``hurwitz_zeta`` is a^-s Z(s, a) for scalar and array a alike.
+Differentiated term by term (Johansson, "Rigorous high-precision
+computation of the Hurwitz zeta function and its derivatives",
+arXiv:1309.2877) the same sum gives dZ/ds and d2Z/ds2, from which the
+likelihood equation is solved.
 """
 
 from fractions import Fraction
 
-import math
 import numpy as np
 
 # B_2, B_4, ..., B_36 as exact rationals, rendered once to float64.
@@ -43,66 +44,15 @@ DEFAULT_HEAD_TERMS = 14
 DEFAULT_MAX_CORRECTIONS = 18
 
 
-def correction_term(k, s, a, head_terms=DEFAULT_HEAD_TERMS, prev=None):
-    """Return C_{2k-1}(M) for M = head_terms.
-
-    For k = 1 the closed form is used and ``prev`` is ignored; for k >= 2
-    ``prev`` must be C_{2k-3}(M) from the previous step.
-    """
-    if k < 1:
-        raise ValueError(f"correction index must be >= 1, got {k}")
-    am = float(a + head_terms)
-    if k == 1:
-        return 0.5 * s * am ** -(s + 1.0)
-    if prev is None:
-        raise ValueError("recursion for k >= 2 needs the previous term")
-    return prev * (s + 2 * k - 2.0) * (s + 2 * k - 3.0) / (2 * k * (2 * k - 1.0) * am * am)
-
-
-def _check_args(s, a, head_terms, max_corrections):
-    if not s > 1.0:
-        raise ValueError(f"zeta exponent must exceed 1, got {s}")
-    if head_terms < 1 or max_corrections < 1:
-        raise ValueError("head_terms and max_corrections must be >= 1")
-    if max_corrections > len(BERNOULLI_EVEN):
-        raise ValueError(
-            f"at most {len(BERNOULLI_EVEN)} correction terms are tabulated"
-        )
-
-
-def _hurwitz_scalar(s, a, head_terms, max_corrections):
-    am = float(a + head_terms)
-    # fsum keeps the telescoping identity zeta(s,a) - zeta(s,a+1) = a^-s
-    # accurate to a few ulp even when the head and tail parts dominate.
-    parts = [float(a + k) ** -s for k in range(head_terms)]
-    parts.append(am ** (1.0 - s) / (s - 1.0))
-    parts.append(0.5 * am ** -s)
-    # a negative power underflows to 0 where a positive one would overflow
-    c = 0.5 * s * am ** -(s + 1.0)
-    term = BERNOULLI_EVEN[0] * c
-    parts.append(term)
-    prev = abs(term)
-    inv_am2 = 1.0 / (am * am)
-    for k in range(2, max_corrections + 1):
-        c *= (s + 2 * k - 2.0) * (s + 2 * k - 3.0) * inv_am2 / (2 * k * (2 * k - 1.0))
-        term = BERNOULLI_EVEN[k - 1] * c
-        mag = abs(term)
-        if mag >= prev:
-            break
-        parts.append(term)
-        prev = mag
-    return math.fsum(parts)
-
-
 def scaled_zeta(s, a, derivatives=False, head_terms=DEFAULT_HEAD_TERMS,
                 max_corrections=DEFAULT_MAX_CORRECTIONS):
     """Z(s, a) = a^s zeta(s, a), elementwise over arrays s > 1 and a >= 1.
 
     Each term is taken relative to a^-s: the head terms are
     exp(-s log1p(k/a)) and the tail terms carry exp(-s log1p(M/a)).  The
-    correction series is truncated per element by the same turnover rule
-    as the scalar sum.  With ``derivatives`` the result is the triple
-    (Z, dZ/ds, d2Z/ds2), each term differentiated in closed form.
+    correction series is truncated per element at its turnover.  With
+    ``derivatives`` the result is the triple (Z, dZ/ds, d2Z/ds2), each
+    term differentiated in closed form.
 
     Every operation is elementwise and the terms are added in a fixed
     order, so an element's value does not depend on the other elements
@@ -175,23 +125,24 @@ def hurwitz_zeta(s, a=1, head_terms=DEFAULT_HEAD_TERMS,
                  max_corrections=DEFAULT_MAX_CORRECTIONS):
     """Evaluate zeta(s, a) = sum_{k>=0} (a+k)^-s for s > 1, integer a >= 1.
 
-    ``a`` may be a scalar or an integer array; an array input returns an
-    array evaluated elementwise, as a^-s Z(s, a) from ``scaled_zeta``
-    (same truncation rule as the scalar path).  Values below the
-    floating-point range come out as 0 or subnormal.
+    ``a`` may be a scalar, which returns a float, or an array, which
+    returns an array evaluated elementwise; either way the value is
+    a^-s Z(s, a) from ``scaled_zeta``.  Values below the floating-point
+    range come out as 0 or subnormal.
     """
     s = float(s)
-    if np.ndim(a) == 0:
-        if a < 1 or int(a) != a:
-            raise ValueError(f"lower limit must be a positive integer, got {a}")
-        _check_args(s, int(a), head_terms, max_corrections)
-        return _hurwitz_scalar(s, int(a), head_terms, max_corrections)
+    if not s > 1.0:
+        raise ValueError(f"zeta exponent must exceed 1, got {s}")
+    if head_terms < 1 or max_corrections < 1:
+        raise ValueError("head_terms and max_corrections must be >= 1")
+    if max_corrections > len(BERNOULLI_EVEN):
+        raise ValueError(
+            f"at most {len(BERNOULLI_EVEN)} correction terms are tabulated"
+        )
     a = np.asarray(a)
-    if not np.issubdtype(a.dtype, np.integer):
-        raise ValueError("array lower limits must have an integer dtype")
-    if a.size and a.min() < 1:
+    if a.size and (a.min() < 1 or np.any(a % 1 != 0)):
         raise ValueError("lower limits must be positive integers")
-    _check_args(s, 1, head_terms, max_corrections)
     a = a.astype(np.float64)
-    return a ** -s * scaled_zeta(s, a, head_terms=head_terms,
-                                 max_corrections=max_corrections)
+    out = a ** -s * scaled_zeta(s, a, head_terms=head_terms,
+                                max_corrections=max_corrections)
+    return float(out) if out.ndim == 0 else out

@@ -1,13 +1,27 @@
 """Independent reference implementations the tests check against.
 
 Everything here deliberately avoids the code paths under test: the zeta
-oracle is a massive direct sum, the KS oracle scans every integer, and
-the MLE oracle is an exhaustive grid search.
+oracle is a massive direct sum, the KS oracle scans every integer of the
+expanded sample, the MLE oracle is an exhaustive grid search, and the
+proposal mass and Bernoulli correction terms are their textbook formulas.
 """
 
 import numpy as np
 
 from dplfit.distribution import log_likelihood
+from dplfit.zeta import DEFAULT_HEAD_TERMS
+
+
+def expanded(sample):
+    """Every observation of a sample, sorted: each distinct value repeated
+    by its count."""
+    return np.repeat(sample.unique_values, sample.unique_counts)
+
+
+def table(sample):
+    """A sample's (distinct values, counts) table as lists, for comparing
+    samples."""
+    return sample.unique_values.tolist(), sample.unique_counts.tolist()
 
 
 def zeta_bruteforce(s, a, terms=10**7):
@@ -32,16 +46,40 @@ def zeta_bruteforce(s, a, terms=10**7):
 def ks_exhaustive(sample, model, beyond=1):
     """KS distance by scanning every integer from a to max(sample)+beyond."""
     best_d, best_n = -1.0, None
-    n_a = sample.size
-    hi = int(sample.values[-1]) + beyond
+    values = expanded(sample)
+    n_a = values.size
+    hi = int(values[-1]) + beyond
     for lo in range(model.a, hi + 1, 1 << 16):
         ns = np.arange(lo, min(lo + (1 << 16), hi + 1))
-        emp = sample.count_at_least(ns) / n_a
+        emp = (n_a - np.searchsorted(values, ns, side="left")) / n_a
         dev = np.abs(emp - model.survival(ns))
         i = int(np.argmax(dev))
         if dev[i] > best_d:
             best_d, best_n = float(dev[i]), int(ns[i])
     return best_d, best_n
+
+
+def proposal_mass(params, y):
+    """q(y) = (a/y)^beta - (a/(y+1))^beta, the sampler's proposal distribution."""
+    y = np.asarray(y, dtype=np.float64)
+    out = (params.a / y) ** params.beta - (params.a / (y + 1.0)) ** params.beta
+    return float(out) if out.ndim == 0 else out
+
+
+def correction_term(k, s, a, head_terms=DEFAULT_HEAD_TERMS, prev=None):
+    """C_{2k-1}(M) of the Euler-Maclaurin corrections, M = head_terms.
+
+    For k = 1 the closed form C_1 = s / (2 (a+M)^(s+1)) is used and
+    ``prev`` is ignored; for k >= 2 ``prev`` must be C_{2k-3}(M).
+    """
+    if k < 1:
+        raise ValueError(f"correction index must be >= 1, got {k}")
+    am = float(a + head_terms)
+    if k == 1:
+        return 0.5 * s * am ** -(s + 1.0)
+    if prev is None:
+        raise ValueError("recursion for k >= 2 needs the previous term")
+    return prev * (s + 2 * k - 2.0) * (s + 2 * k - 3.0) / (2 * k * (2 * k - 1.0) * am * am)
 
 
 def grid_argmax_beta(stat, a, lo=0.05, hi=10.0, step=1e-6):

@@ -71,9 +71,10 @@ def test_criterion_3_sampler_exactness():
     params = SamplerParams(1, 1.0)
     model = PowerLawModel(1, 1.0)
     sample = sample_n(params, 10**6, RngStream(3310, 0))
+    values = np.repeat(sample.unique_values, sample.unique_counts)
     edges = np.arange(1, 31)
-    obs = np.array([np.count_nonzero(sample.values == n) for n in edges]
-                   + [np.count_nonzero(sample.values >= 31)])
+    obs = np.array([np.count_nonzero(values == n) for n in edges]
+                   + [np.count_nonzero(values >= 31)])
     expected = np.array([model.pmf(int(n)) for n in edges]
                         + [model.survival(31)]) * sample.size
     stat = float(((obs - expected) ** 2 / expected).sum())
@@ -113,8 +114,9 @@ def test_criterion_4_ks_oracle_equivalence():
         size = int(rng.integers(1, 201))
         kind = rep % 3
         if kind == 0:
-            values = sample_n(SamplerParams(1, float(rng.uniform(0.8, 3.0))),
-                              size, RngStream(4401, rep)).values
+            sim = sample_n(SamplerParams(1, float(rng.uniform(0.8, 3.0))),
+                           size, RngStream(4401, rep))
+            values = np.repeat(sim.unique_values, sim.unique_counts)
             values = np.minimum(values, 10**4)
         elif kind == 1:
             values = rng.integers(1, 60, size=size)
@@ -253,7 +255,8 @@ def test_criterion_7_word_frequency_reproduction():
 def test_criterion_8_determinism(tmp_path):
     sample = sample_n(SamplerParams(1, 1.4), 700, RngStream(88, 0))
     data_file = tmp_path / "data.txt"
-    data_file.write_text("\n".join(map(str, sample.values.tolist())) + "\n",
+    values = np.repeat(sample.unique_values, sample.unique_counts)
+    data_file.write_text("\n".join(map(str, values.tolist())) + "\n",
                          encoding="utf-8")
     config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=4242)
     spec = InputSpec(str(data_file))

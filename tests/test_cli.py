@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dplfit.cli import (
+    _write_output,
     InputSpec,
     build_parser,
     emit_curves,
-    export_integers,
     ingest,
     main,
     run_fit,
@@ -23,6 +24,14 @@ from dplfit.mle import fit_beta
 from dplfit.pipeline import ScanConfig
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
+from oracles import expanded, table
+
+
+def write_integers(sample, path):
+    """Write a sample in integers format, one observation per line."""
+    path.write_text("".join(f"{v}\n" for v in expanded(sample).tolist()),
+                    encoding="utf-8")
+
 
 # ----------------------------------------------------------------- ingest
 
@@ -31,7 +40,7 @@ def test_ingest_integers(tmp_path):
     f = tmp_path / "data.txt"
     f.write_text("3\n\n1\n2\n\n", encoding="utf-8")
     sample = ingest(InputSpec(str(f), "integers"))
-    assert sample.values.tolist() == [1, 2, 3]
+    assert table(sample) == ([1, 2, 3], [1, 1, 1])
 
 
 def test_ingest_integers_rejects_zero(tmp_path):
@@ -71,7 +80,19 @@ def test_ingest_counts(tmp_path):
     f = tmp_path / "counts.txt"
     f.write_text("1 3\n2 1\n", encoding="utf-8")
     sample = ingest(InputSpec(str(f), "counts"))
-    assert sample.values.tolist() == [1, 1, 1, 2]
+    assert table(sample) == ([1, 2], [3, 1])
+    assert sample.size == 4
+
+
+def test_ingest_counts_sums_repeated_values(tmp_path):
+    split = tmp_path / "split.txt"
+    split.write_text("7 2\n1 3\n7 5\n", encoding="utf-8")
+    merged = tmp_path / "merged.txt"
+    merged.write_text("1 3\n7 7\n", encoding="utf-8")
+    one = ingest(InputSpec(str(split), "counts"))
+    two = ingest(InputSpec(str(merged), "counts"))
+    assert table(one) == table(two) == ([1, 7], [3, 7])
+    assert one.size == two.size == 10
 
 
 def test_ingest_counts_bad_row(tmp_path):
@@ -93,14 +114,14 @@ def test_ingest_corpus(tmp_path):
     f = tmp_path / "corpus.txt"
     f.write_text("the cat the", encoding="utf-8")
     sample = ingest(InputSpec(str(f), "corpus"))
-    assert sample.values.tolist() == [1, 2]
+    assert table(sample) == ([1, 2], [1, 1])
 
 
 def test_ingest_corpus_diacritics(tmp_path):
     f = tmp_path / "corpus.txt"
     f.write_text("Seitsemän veljestä! SEITSEMÄN... veljestä, seitsemän?", encoding="utf-8")
     sample = ingest(InputSpec(str(f), "corpus"))
-    assert sorted(sample.values.tolist()) == [2, 3]
+    assert table(sample) == ([2, 3], [1, 1])
 
 
 def test_tokenize_text_rules():
@@ -121,9 +142,9 @@ def test_round_trip_counts_to_integers(tmp_path):
     counts.write_text("1 5\n3 2\n9 1\n", encoding="utf-8")
     sample = ingest(InputSpec(str(counts), "counts"))
     out = tmp_path / "integers.txt"
-    export_integers(sample, out)
+    write_integers(sample, out)
     again = ingest(InputSpec(str(out), "integers"))
-    assert again == sample
+    assert table(again) == table(sample) == ([1, 3, 9], [5, 2, 1])
 
 
 @given(counts=st.dictionaries(st.integers(min_value=1, max_value=500),
@@ -134,9 +155,10 @@ def test_round_trip_property(tmp_path_factory, counts):
     f = tmp / "counts.txt"
     f.write_text("".join(f"{v} {c}\n" for v, c in counts.items()), encoding="utf-8")
     sample = ingest(InputSpec(str(f), "counts"))
+    assert table(sample) == (sorted(counts), [counts[v] for v in sorted(counts)])
     out = tmp / "ints.txt"
-    export_integers(sample, out)
-    assert ingest(InputSpec(str(out), "integers")) == sample
+    write_integers(sample, out)
+    assert table(ingest(InputSpec(str(out), "integers"))) == table(sample)
 
 
 # ----------------------------------------------------------------- curves
@@ -190,7 +212,7 @@ def test_curves_columns_finite_nonnegative(tmp_path):
 def make_power_law_file(tmp_path, n=1500, beta=1.3, seed=17):
     sample = sample_n(SamplerParams(1, beta), n, RngStream(seed, 0))
     f = tmp_path / "pl.txt"
-    export_integers(sample, f)
+    write_integers(sample, f)
     return f
 
 
@@ -212,7 +234,7 @@ def test_run_fit_report_contents(tmp_path):
 def test_run_fit_rejects_geometric(tmp_path):
     rng = np.random.default_rng(40)
     f = tmp_path / "geom.txt"
-    export_integers(IntegerSample(rng.geometric(0.3, size=8000)), f)
+    write_integers(IntegerSample(rng.geometric(0.3, size=8000)), f)
     record = run_fit(InputSpec(str(f)), a=1, n_sim=100, seed=5)
     assert record.document["fit"]["verdict"] == "rejected"
 
@@ -247,13 +269,39 @@ def test_report_written_file_round_trips(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == record.document
 
 
+def test_write_output_replaces_contents(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"x" * 10000)
+    _write_output(out, "short\n")
+    assert out.read_bytes() == b"short\n"
+    _write_output(out, "longer \u00e9\n" * 100)
+    assert out.read_text(encoding="utf-8") == "longer \u00e9\n" * 100
+    _write_output(tmp_path / "new.txt", "")
+    assert (tmp_path / "new.txt").read_bytes() == b""
+
+
+def test_write_output_to_a_device():
+    _write_output(os.devnull, "report\n")  # not a regular file: no cut to length
+
+
+def test_cli_rewrites_existing_output(tmp_path):
+    big = make_power_law_file(tmp_path, n=2000, seed=5)
+    small = tmp_path / "small.txt"
+    small.write_text("1\n1\n2\n3\n", encoding="utf-8")
+    out, fresh = tmp_path / "curves.tsv", tmp_path / "fresh.tsv"
+    assert main(["curves", str(big), "--a", "1", "--out", str(out)]) == 0
+    assert main(["curves", str(small), "--a", "1", "--out", str(out)]) == 0
+    assert main(["curves", str(small), "--a", "1", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
 # -------------------------------------------------------------------- CLI
 
 
 def test_cli_fit_exit_zero_even_when_rejected(tmp_path, capsys):
     rng = np.random.default_rng(41)
     f = tmp_path / "geom.txt"
-    export_integers(IntegerSample(rng.geometric(0.3, size=5000)), f)
+    write_integers(IntegerSample(rng.geometric(0.3, size=5000)), f)
     code = main(["fit", str(f), "--a", "1", "--nsim", "100", "--seed", "3"])
     out = capsys.readouterr().out
     assert code == 0
@@ -285,7 +333,7 @@ def test_cli_scan_reports_no_tail(tmp_path, capsys):
     rng = np.random.default_rng(42)
     f = tmp_path / "geom.txt"
     # shifted geometric: no power-law tail anywhere the scan can test
-    export_integers(IntegerSample(rng.geometric(0.45, size=4000) + 500), f)
+    write_integers(IntegerSample(rng.geometric(0.45, size=4000) + 500), f)
     code = main(["scan", str(f), "--nsim", "100", "--seed", "4",
                  "--min-tail", "3999"])
     assert code == 0
@@ -310,6 +358,42 @@ def test_cli_curves_fixed_beta(tmp_path):
     assert out.exists()
 
 
+def test_cli_curves_on_huge_counts(tmp_path, capsys):
+    # 2.3e12 observations from five lines: the counts are never expanded
+    counts = {1: 10**12, 2: 7 * 10**11, 3: 3 * 10**11, 10: 2 * 10**11, 1000: 12345}
+    f = tmp_path / "huge.counts"
+    f.write_text("".join(f"{v} {c}\n" for v, c in counts.items()), encoding="utf-8")
+    out = tmp_path / "curves.tsv"
+    code = main(["curves", str(f), "--format", "counts", "--a", "1", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    total = sum(counts.values())
+    above = total
+    assert [int(r[0]) for r in rows] == list(counts)
+    for (v, c), (_, emp_f, _, emp_s, _) in zip(counts.items(), rows):
+        assert float(emp_f) == c / total
+        assert float(emp_s) == above / total
+        above -= c
+
+
+@pytest.mark.parametrize("body,lineno,what", [
+    ("1\n9223372036854775808\n", 2, "value"),
+    ("3 1\n9223372036854775808 1\n", 2, "value"),
+    ("3 1\n5 9223372036854775808\n", 2, "count"),
+    ("3 1\n5 9223372036854775807\n7 1\n", 2, "total count"),
+    ("3 4611686018427387904\n3 4611686018427387904\n", 2, "total count"),
+])
+def test_cli_ingest_int64_bounds(tmp_path, capsys, body, lineno, what):
+    fmt = "counts" if " " in body else "integers"
+    f = tmp_path / "big.txt"
+    f.write_text(body, encoding="utf-8")
+    code = main(["fit", str(f), "--format", fmt, "--a", "1", "--nsim", "100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}:{lineno}: {what}")
+    assert "2^63 - 1" in err
+
+
 def test_cli_tokenize(tmp_path, capsys):
     f = tmp_path / "corpus.txt"
     f.write_text("b a b a b", encoding="utf-8")
@@ -322,7 +406,7 @@ def test_cli_corpus_scan_end_to_end(tmp_path, capsys):
     # synthetic corpus whose word frequencies are the data: frequency of
     # token k is drawn from a power law, then dumped as repeated tokens
     rng = np.random.default_rng(55)
-    freqs = sample_n(SamplerParams(1, 1.2), 400, RngStream(55, 0)).values
+    freqs = expanded(sample_n(SamplerParams(1, 1.2), 400, RngStream(55, 0)))
     words = []
     for k, f in enumerate(freqs):
         token = "w" + "".join(chr(97 + int(c)) for c in str(k))

@@ -19,9 +19,10 @@ from dplfit.errors import (
     EmptyTailError,
     NumericRangeError,
 )
+from dplfit.ks import ks_points
 from dplfit.zeta import hurwitz_zeta
 
-from oracles import zeta_bruteforce
+from oracles import expanded, table, zeta_bruteforce
 
 # Frozen from zeta_bruteforce(2.13, 10) / zeta_bruteforce(2.13, 1).
 SURVIVAL_10_BETA_1_13 = 0.045152298006495103
@@ -33,13 +34,14 @@ SURVIVAL_10_BETA_1_13 = 0.045152298006495103
 def test_truncate_drops_below_cutoff():
     s = IntegerSample([1, 1, 2, 5])
     t = s.truncated(2)
-    assert t.values.tolist() == [2, 5]
+    assert table(t) == ([2, 5], [1, 1])
     assert t.size == 2
 
 
 def test_truncate_identity():
     s = IntegerSample([1, 1, 2, 5])
-    assert s.truncated(1) == s
+    assert table(s.truncated(1)) == table(s)
+    assert s.truncated(1).size == s.size
 
 
 def test_truncate_empty_tail():
@@ -56,14 +58,30 @@ def test_sample_validation():
         IntegerSample([[1, 2]])
 
 
+def test_table_validation():
+    with pytest.raises(ValueError):
+        IntegerSample([1, 2], [3])
+    with pytest.raises(ValueError):
+        IntegerSample([2, 1], [1, 1])
+    with pytest.raises(ValueError):
+        IntegerSample([1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        IntegerSample([1, 2], [1, 0])
+    with pytest.raises(ValueError):
+        IntegerSample([0, 2], [1, 1])
+    with pytest.raises(ValueError):
+        IntegerSample([1, 2], [2**62, 2**62])
+    big = IntegerSample([1, 2], [2**62, 2**62 - 1])
+    assert big.size == 2**63 - 1
+    assert big.survival_counts.tolist() == [2**63 - 1, 2**62 - 1]
+
+
 def test_survival_counts():
     s = IntegerSample([1, 1, 2, 5])
     assert s.unique_values.tolist() == [1, 2, 5]
+    assert s.unique_counts.tolist() == [2, 1, 1]
     assert s.survival_counts.tolist() == [4, 2, 1]
-    assert s.count_at_least(1) == 4
-    assert s.count_at_least(3) == 1
-    assert s.count_at_least(6) == 0
-    assert s.count_at_least(np.array([1, 2, 3])).tolist() == [4, 2, 1]
+    assert s.size == 4
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=60),
@@ -76,8 +94,9 @@ def test_truncate_preserves_multiplicity(values, a):
             s.truncated(a)
     else:
         t = s.truncated(a)
-        assert t.values.tolist() == expected
-        assert t.count_at_least(t.values[0]) == t.size
+        assert expanded(t).tolist() == expected
+        assert t.size == len(expected)
+        assert t.survival_counts[0] == t.size
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=50))
@@ -85,7 +104,28 @@ def test_survival_counts_non_increasing(values):
     s = IntegerSample(values)
     counts = s.survival_counts
     assert all(x >= y for x, y in zip(counts, counts[1:]))
-    assert s.count_at_least(s.values[0]) == s.size
+    assert counts[0] == s.size == len(values)
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=2**63 - 2),
+                       st.integers(min_value=1, max_value=6),
+                       min_size=1, max_size=25),
+       st.data())
+def test_multiset_and_table_agree(tally, data):
+    """A multiset and its (value, count) table are the same sample."""
+    values = sorted(tally)
+    counts = [tally[v] for v in values]
+    multiset = data.draw(st.permutations([v for v in values for _ in range(tally[v])]))
+    one = IntegerSample(multiset)
+    two = IntegerSample(values, counts)
+    assert table(one) == table(two) == (values, counts)
+    assert one.size == two.size == len(multiset)
+    assert sufficient_stat(one) == sufficient_stat(two)
+    a = data.draw(st.sampled_from(values))
+    for p, q in zip(ks_points(one.truncated(a), a), ks_points(two.truncated(a), a)):
+        assert p.tobytes() == q.tobytes()
+    assert table(one.truncated(a)) == table(two.truncated(a))
+    assert one.truncated(a).size == two.truncated(a).size
 
 
 # ----------------------------------------------------------------- model
@@ -185,7 +225,7 @@ def test_loglik_matches_brute_force_mean():
     s = IntegerSample([1, 2, 4])
     stat = sufficient_stat(s)
     m = PowerLawModel(1, 1.0)
-    brute = sum(math.log(m.pmf(int(v))) for v in s.values) / 3.0
+    brute = sum(math.log(m.pmf(int(v))) for v in expanded(s)) / 3.0
     assert log_likelihood(stat, 1, 1.0) == pytest.approx(brute, rel=1e-12)
 
 
@@ -195,7 +235,7 @@ def test_loglik_brute_force_property(values, beta):
     s = IntegerSample(values)
     stat = sufficient_stat(s)
     m = PowerLawModel(1, beta)
-    brute = sum(math.log(m.pmf(int(v))) for v in s.values) / s.size
+    brute = sum(math.log(m.pmf(int(v))) for v in expanded(s)) / s.size
     assert log_likelihood(stat, 1, beta) == pytest.approx(brute, rel=1e-12, abs=5e-14)
 
 

@@ -9,7 +9,7 @@ from dplfit.errors import NumericRangeError
 from dplfit.ks import ks_statistic, p_value
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
-from oracles import ks_exhaustive
+from oracles import expanded, ks_exhaustive
 
 
 def test_single_datum_at_cutoff():
@@ -50,7 +50,7 @@ def test_matches_exhaustive_scan_random_samples(data):
     rng = np.random.default_rng(seed)
     if kind == "powerlaw":
         beta = data.draw(st.floats(min_value=0.8, max_value=3.0))
-        values = sample_n(SamplerParams(1, beta), size, RngStream(seed, 0)).values
+        values = expanded(sample_n(SamplerParams(1, beta), size, RngStream(seed, 0)))
         values = np.minimum(values, 10**4)
     elif kind == "uniform":
         values = rng.integers(1, 50, size=size)

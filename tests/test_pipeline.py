@@ -15,6 +15,8 @@ from dplfit.pipeline import (
 )
 from dplfit.sampling import RngStream, SamplerParams, replica_stream, sample_n
 
+from oracles import expanded
+
 
 def power_law_data(beta, n, seed, a=1):
     return sample_n(SamplerParams(a, beta), n, RngStream(seed, 0))
@@ -220,7 +222,7 @@ def test_scan_mixed_body_starts_at_true_cutoff():
     # must reject the contaminated cutoffs and settle at 5 or above
     rng = np.random.default_rng(24)
     body = rng.integers(1, 5, size=2000)
-    tail = sample_n(SamplerParams(5, 2.0), 2000, RngStream(24, 0)).values
+    tail = expanded(sample_n(SamplerParams(5, 2.0), 2000, RngStream(24, 0)))
     data = IntegerSample(np.concatenate([body, tail]))
     result = scan(data, ScanConfig(n_sim=100, seed=4, min_tail=30))
     assert result.a_star is not None

@@ -15,10 +15,10 @@ from dplfit.sampling import (
     _proposals_from_uniforms,
     accept_test,
     acceptance_ratio,
-    proposal_mass,
-    propose,
     sample_n,
 )
+
+from oracles import expanded, proposal_mass, table
 
 
 def chi_squared_vs_pmf(values, model, n_bins=30):
@@ -76,14 +76,6 @@ class _QWrapper:
 
     def survival(self, n):
         return (self.params.a / n) ** self.params.beta
-
-
-def test_propose_supports_cutoff():
-    params = SamplerParams(4, 0.8)
-    rng = RngStream(5, 0)
-    draws = [propose(params, rng) for _ in range(2000)]
-    assert min(draws) >= 4
-    assert any(d > 4 for d in draws)
 
 
 # ------------------------------------------------------------ acceptance
@@ -169,7 +161,7 @@ def test_acceptance_rate_matches_numeric_sum():
 def test_variates_match_target_pmf(a, beta, seed):
     params = SamplerParams(a, beta)
     sample = sample_n(params, 10**6, RngStream(seed, 0))
-    stat, dof = chi_squared_vs_pmf(sample.values, PowerLawModel(a, beta))
+    stat, dof = chi_squared_vs_pmf(expanded(sample), PowerLawModel(a, beta))
     # one test at the 0.01 level per parameter point, seeds pinned
     assert stat < chi2.ppf(0.99, dof)
 
@@ -177,7 +169,18 @@ def test_variates_match_target_pmf(a, beta, seed):
 def test_count_one():
     sample = sample_n(SamplerParams(3, 1.0), 1, RngStream(1, 0))
     assert sample.size == 1
-    assert sample.values[0] >= 3
+    assert sample.unique_values[0] >= 3
+
+
+@pytest.mark.parametrize("a,beta,count", [(1, 1.13, 50000), (3, 0.4, 3000), (1, 2.0, 20)])
+def test_chunked_test_matches_whole_batch(monkeypatch, a, beta, count):
+    # testing proposals in chunks must give the variates of one
+    # whole-batch test, for chunks far smaller than a batch too
+    params = SamplerParams(a, beta)
+    got = table(sample_n(params, count, RngStream(77, 1)))
+    for chunk in (2**62, 7):
+        monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+        assert table(sample_n(params, count, RngStream(77, 1))) == got
 
 
 def test_count_zero_rejected():
@@ -193,7 +196,7 @@ def test_count_zero_rejected():
 @settings(max_examples=50)
 def test_support_property(a, beta, seed):
     sample = sample_n(SamplerParams(a, beta), 200, RngStream(seed, 0))
-    assert sample.values[0] >= a
+    assert sample.unique_values[0] >= a
 
 
 def test_reproducible_streams():
@@ -201,8 +204,8 @@ def test_reproducible_streams():
     one = sample_n(params, 5000, RngStream(123, 4))
     two = sample_n(params, 5000, RngStream(123, 4))
     other = sample_n(params, 5000, RngStream(123, 5))
-    assert one == two
-    assert one != other
+    assert table(one) == table(two)
+    assert table(one) != table(other)
 
 
 def test_stream_validation():

@@ -8,11 +8,10 @@ from dplfit.zeta import (
     BERNOULLI_EVEN,
     DEFAULT_HEAD_TERMS,
     DEFAULT_MAX_CORRECTIONS,
-    correction_term,
     hurwitz_zeta,
 )
 
-from oracles import zeta_bruteforce
+from oracles import correction_term, zeta_bruteforce
 
 GAMMAS = [1.1, 1.5, 2.0, 2.13, 3.0, 6.0]
 AS = [1, 2, 5, 10, 100]
