@@ -19,6 +19,7 @@ from .errors import (
     EmptyTailError,
     NumericRangeError,
     ParseError,
+    TailTooLargeError,
 )
 from .ks import KsResult, PValue, ks_statistic, p_value
 from .mle import MleConfig, MleResult, fit_beta
@@ -54,6 +55,7 @@ __all__ = [
     "ScanConfig",
     "ScanResult",
     "SufficientStat",
+    "TailTooLargeError",
     "accept_test",
     "acceptance_ratio",
     "default_cutoffs",

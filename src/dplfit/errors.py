@@ -21,6 +21,10 @@ class NumericRangeError(DplfitError, ArithmeticError):
     """A quantity falls outside double precision, e.g. zeta(beta+1, a) at a huge cutoff."""
 
 
+class TailTooLargeError(DplfitError, MemoryError):
+    """A tail has too many observations to simulate a replica of in memory."""
+
+
 class ParseError(DplfitError, ValueError):
     """An input file violates its format grammar."""
 

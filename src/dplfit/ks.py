@@ -36,65 +36,87 @@ def ks_points(sample, a):
     real n >= a is attained on integers; and between consecutive observed
     values the empirical side is flat while S decreases, so it suffices to
     evaluate at each distinct observed value v, at v+1, and at the cutoff
-    itself.  The points come sorted, the cutoff first.
+    itself.  The points come sorted, the cutoff first.  This is the
+    one-sample case of ``table_points``.
     """
-    v = sample.unique_values
-    if v[0] < a:
+    points, emp, _ = table_points(a, sample.unique_values, sample.survival_counts,
+                                  [sample.unique_values.size], [sample.size])
+    return points, emp
+
+
+def table_points(a, values, above, distinct, sizes):
+    """``ks_points`` of several samples truncated at a, as flat arrays.
+
+    Sample r is its ``distinct[r]`` sorted distinct values, stored one
+    sample after another in ``values``, with N_v, the number of its data
+    >= v, at the same place in ``above``, and its size ``sizes[r]``.
+    Returns every sample's points and empirical survival, one sample after
+    another, and the number of points of each sample.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    above = np.asarray(above, dtype=np.int64)
+    distinct = np.asarray(distinct, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if values.min() < a:
         raise ValueError(
             f"sample contains values below the cutoff a={a}; truncate first"
         )
-    if v[-1] == _INT64_MAX:
-        raise NumericRangeError(f"the point {v[-1]} + 1 does not fit in int64")
-    # a, v_0, v_0+1, v_1, v_1+1, ... never decreases; the data >= each point
-    # are N_a at a, N_v at v and N_{v'} at v+1, v' the next distinct value.
-    # Drop the repeats (a = v_0, v_i + 1 = v_{i+1}), which carry equal counts.
-    above = sample.survival_counts
-    merged = np.empty(2 * v.size + 1, dtype=np.int64)
-    merged[0] = a
-    merged[1::2] = v
-    merged[2::2] = v + 1
+    if values.max() == _INT64_MAX:
+        raise NumericRangeError(f"the point {values.max()} + 1 does not fit in int64")
+    # Sample r's points a, v_0, v_0+1, v_1, v_1+1, ... never decrease; the
+    # data >= each are N_a at a, N_v at v and N_{v'} at v+1, v' the next
+    # distinct value (none after the last).  They start at 2 F_r + r, F_r
+    # the distinct values before sample r.
+    first = np.cumsum(distinct) - distinct
+    starts = 2 * first + np.arange(distinct.size)
+    at_v = 2 * np.arange(values.size) + np.repeat(np.arange(distinct.size), distinct) + 1
+    beyond = np.empty_like(above)
+    beyond[:-1] = above[1:]
+    beyond[first + distinct - 1] = 0
+    merged = np.empty(2 * values.size + distinct.size, dtype=np.int64)
     count = np.empty(merged.size, dtype=np.int64)
-    count[0] = sample.size
-    count[1::2] = above
-    count[2:-1:2] = above[1:]
-    count[-1] = 0
+    merged[starts] = a
+    count[starts] = sizes
+    merged[at_v] = values
+    count[at_v] = above
+    merged[at_v + 1] = values + 1
+    count[at_v + 1] = beyond
+    # Drop the repeats (a = v_0, v_i + 1 = v_{i+1}), which carry equal
+    # counts; a sample's cutoff is below the previous sample's last point.
     fresh = np.empty(merged.size, dtype=bool)
     fresh[0] = True
     np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-    return merged[fresh], count[fresh] / sample.size
+    lengths = np.add.reduceat(fresh, starts, dtype=np.intp)
+    return merged[fresh], count[fresh] / np.repeat(sizes, lengths), lengths
 
 
-def _deviations(s, a, points, emp):
+def _deviations(s, a, points, emp, lengths):
     """|N_n/N_a - S(n)| at every KS point of every sample, as one flat array.
 
     The model survival S(n) = (a/n)^s Z(s, n) / Z(s, a) comes from one
     chunked ``scaled_zeta`` pass over all the points, so it stays in range
     for any cutoff.
     """
-    lengths = [p.size for p in points]
-    points = np.concatenate(points)
     s = np.repeat(s, lengths)
     z = np.empty(points.size)
     for lo in range(0, points.size, _ZETA_CHUNK):
         hi = lo + _ZETA_CHUNK
         z[lo:hi] = scaled_zeta(s[lo:hi], points[lo:hi])
     # each sample's first point is the cutoff, where Z(s, a) is the norm
-    starts = np.cumsum(lengths) - lengths
-    norm = np.repeat(z[starts], lengths)
+    norm = np.repeat(z[np.cumsum(lengths) - lengths], lengths)
     model = np.exp(-s * np.log1p((points - a) / a)) * (z / norm)
-    return np.abs(np.concatenate(emp) - model)
+    return np.abs(emp - model)
 
 
-def ks_distances(s, a, points, emp):
+def ks_distances(s, a, points, emp, lengths):
     """KS distance of each of several samples truncated at a, each against
     its own model.
 
-    ``points`` and ``emp`` hold each sample's arrays from ``ks_points``
-    and ``s[i]`` is the exponent + 1 of sample i's model.
+    ``points``, ``emp`` and ``lengths`` are the samples' flat arrays from
+    ``table_points``, and ``s[i]`` is the exponent + 1 of sample i's model.
     """
-    lengths = [p.size for p in points]
     starts = np.cumsum(lengths) - lengths
-    return np.maximum.reduceat(_deviations(s, a, points, emp), starts)
+    return np.maximum.reduceat(_deviations(s, a, points, emp, lengths), starts)
 
 
 def ks_statistic(sample, model):
@@ -105,7 +127,7 @@ def ks_statistic(sample, model):
     Ties in the argmax go to the smallest n.
     """
     points, emp = ks_points(sample, model.a)
-    dev = _deviations([model.beta + 1.0], model.a, [points], [emp])
+    dev = _deviations([model.beta + 1.0], model.a, points, emp, [points.size])
     i = int(np.argmax(dev))
     return KsResult(d=float(dev[i]), argmax_n=int(points[i]))
 

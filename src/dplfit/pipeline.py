@@ -1,5 +1,11 @@
 """The full recipe: fixed-cutoff fit with Monte Carlo p-value, and the
-scan over cutoffs that selects a* = min{a : p > threshold}."""
+scan over cutoffs that selects a* = min{a : p > threshold}.
+
+Replicas are drawn in groups (``sampling.sample_groups``); each group's
+rows are sorted and reduced to ln G, KS points and empirical survival as
+flat arrays with per-replica lengths, which the block's one refit and one
+KS pass take directly.
+"""
 
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -13,14 +19,20 @@ from .errors import (
     DegenerateDataError,
     EmptyTailError,
     NumericRangeError,
+    TailTooLargeError,
 )
-from .ks import PValue, ks_distances, ks_points, ks_statistic, p_value
+from .ks import PValue, ks_distances, ks_statistic, p_value, table_points
 from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
-from .sampling import RngStream, SamplerParams, replica_stream, sample_n
+from .sampling import SamplerParams, replica_stream, sample_groups
 
-# Replicas are drawn, refit and measured this many at a time; only one
-# block's KS points are held at once.
+# Replicas are refit and measured this many at a time; only one block's KS
+# points are held at once.
 REPLICA_BLOCK = 256
+
+# A fit whose replicas lose more than this proposal mass to the sampler's
+# 2^63 cap is reported unreliable: its replicas are biased toward small
+# values.
+LOST_MASS_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,38 @@ def _seed_for_cutoff(seed, a):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _replicas(params, n_a, seed, streams):
+    """Draw the replicas of substreams ``streams``; return each one's ln G
+    and all their KS points, empirical survival and point counts, flat.
+
+    Each group of replicas from ``sample_groups`` is sorted and tabulated
+    at once: a row's distinct values start where its sorted values change,
+    and a value's count is the distance to the next start.  ln G is each
+    row's counts @ log(values) / n_a, the dot product ``sufficient_stat``
+    takes, so it is bit-identical to it.
+    """
+    parts = []
+    for rows in sample_groups(params, n_a, seed, streams):
+        rows.sort(axis=1)
+        new = np.empty(rows.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+        at = np.flatnonzero(new)
+        values = rows.ravel()[at]
+        counts = np.diff(at, append=rows.size)
+        distinct = np.count_nonzero(new, axis=1)
+        ends = np.cumsum(distinct)
+        logs = np.log(values)
+        log_g = np.array([counts[i:j] @ logs[i:j]
+                          for i, j in zip((ends - distinct).tolist(), ends.tolist())]) / n_a
+        points = table_points(params.a, values, n_a - at % n_a, distinct,
+                              np.full(distinct.size, n_a))
+        parts.append((log_g,) + points)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
              keep_d_sims=False):
     """Steps 1-7 at a fixed cutoff.
@@ -100,11 +144,14 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     Replica i is drawn from substream ``replica_stream(i, attempt)``.  A
     replica whose refit is degenerate or fails to converge is regenerated
     at the next attempt; regenerations are counted and more than 1% of
-    them marks the result unreliable.  Replicas are processed in blocks of
-    ``REPLICA_BLOCK``: the refits of a block are one ``solve_betas`` call
-    and its KS distances one ``ks_distances`` call.  Each replica's
-    result depends only on (seed, i), not on the blocks or on other
-    replicas' regenerations.
+    them marks the result unreliable, as does a fitted exponent at which
+    the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
+    proposal mass.  Replicas are drawn in groups (``sampling.sample_groups``)
+    and refit and measured in blocks of ``REPLICA_BLOCK``: the refits of a
+    block's attempt are one ``solve_betas`` call and its KS distances one
+    ``ks_distances`` call.  Each replica's result depends only on
+    (seed, i), not on the groups, the blocks or other replicas'
+    regenerations.
     """
     tail = sample.truncated(a)
     stat = sufficient_stat(tail)
@@ -118,31 +165,25 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     regenerated = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
     for first in range(0, n_sim, REPLICA_BLOCK):
-        size = min(REPLICA_BLOCK, n_sim - first)
-        log_g = np.empty(size)
-        beta = np.empty(size)
-        points = [None] * size
-        emp = [None] * size
-        attempt = np.zeros(size, dtype=np.int64)
-        todo = np.arange(size)
+        todo = np.arange(first, min(first + REPLICA_BLOCK, n_sim))
+        attempt = 0
         while todo.size:
-            for j in todo.tolist():
-                stream = replica_stream(first + j, int(attempt[j]))
-                sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
-                log_g[j] = sufficient_stat(sim).log_geo_mean
-                points[j], emp[j] = ks_points(sim, a)
-            fit = todo[~at_cutoff(log_g[todo], a)]
-            beta[fit], _, status = solve_betas(log_g[fit], a, mle_config)
-            solved = np.zeros(size, dtype=bool)
+            log_g, points, emp, lengths = _replicas(
+                params, n_a, seed, replica_stream(todo, attempt))
+            fit = np.flatnonzero(~at_cutoff(log_g, a))
+            beta, _, status = solve_betas(log_g[fit], a, mle_config)
+            solved = np.zeros(todo.size, dtype=bool)
             solved[fit[status == SOLVED]] = True
-            todo = todo[~solved[todo]]
+            keep = np.repeat(solved, lengths)
+            d_sims[todo[solved]] = ks_distances(beta[status == SOLVED] + 1.0, a,
+                                                points[keep], emp[keep], lengths[solved])
+            todo = todo[~solved]
             regenerated += todo.size
             if regenerated > retry_budget:
                 raise ConvergenceError(
                     f"more than {retry_budget} replica refits failed at a={a}"
                 )
-            attempt[todo] += 1
-        d_sims[first:first + size] = ks_distances(beta + 1.0, a, points, emp)
+            attempt += 1
 
     return FitAtA(
         a=int(a),
@@ -152,7 +193,8 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
         d_emp=d_emp,
         p=p_value(d_emp, d_sims),
         regenerated=regenerated,
-        reliable=regenerated <= 0.01 * n_sim,
+        reliable=(regenerated <= 0.01 * n_sim
+                  and params.lost_mass <= LOST_MASS_LIMIT),
         d_sims=tuple(d_sims.tolist()) if keep_d_sims else None,
     )
 
@@ -169,7 +211,7 @@ def _fit_one_guarded(args):
     try:
         return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a), mle_config)
     except (EmptyTailError, DegenerateDataError, ConvergenceError,
-            NumericRangeError) as err:
+            NumericRangeError, TailTooLargeError) as err:
         return (type(err).__name__, str(err))
 
 

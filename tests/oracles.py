@@ -2,13 +2,31 @@
 
 Everything here deliberately avoids the code paths under test: the zeta
 oracle is a massive direct sum, the KS oracle scans every integer of the
-expanded sample, the MLE oracle is an exhaustive grid search, and the
-proposal mass and Bernoulli correction terms are their textbook formulas.
+expanded sample, the MLE oracle is an exhaustive grid search, the
+proposal mass and Bernoulli correction terms are their textbook formulas,
+and the replica oracles draw one replica at a time from its own
+``RngStream``, with no group draws and no block seeding.
 """
 
 import numpy as np
 
-from dplfit.distribution import log_likelihood
+import dplfit.sampling
+from dplfit.distribution import (
+    IntegerSample,
+    PowerLawModel,
+    log_likelihood,
+    sufficient_stat,
+)
+from dplfit.errors import ConvergenceError, DegenerateDataError
+from dplfit.ks import ks_statistic
+from dplfit.mle import fit_beta
+from dplfit.sampling import (
+    RngStream,
+    SamplerParams,
+    _proposals_from_uniforms,
+    accept_test,
+    replica_stream,
+)
 from dplfit.zeta import DEFAULT_HEAD_TERMS
 
 
@@ -121,3 +139,41 @@ def psi_mpmath(s, a, dps=50, head=60, corrections=20):
             return mpmath.log(total)
 
         return mpmath.log(a) - mpmath.diff(log_scaled_zeta, mpmath.mpf(s))
+
+
+def variates_one_at_a_time(params, count, rng):
+    """``count`` sampler variates from an ``RngStream``, sorted, drawn as
+    the sampler's stream layout prescribes: per batch (the sampler's own
+    batch rule, looked up at call time), ``batch`` uniforms for w and then
+    ``batch`` for v, one whole-batch accept test, and the first accepts in
+    proposal order kept."""
+    kept = []
+    need = count
+    while need:
+        batch = dplfit.sampling._batch_size(need)
+        w = rng.uniform_open_closed(batch)
+        v = rng.uniform(batch)
+        y = _proposals_from_uniforms(params, w)
+        fits = y < dplfit.sampling._MAX_PROPOSAL
+        y = np.maximum(y[fits].astype(np.int64), params.a)
+        accepted = y[accept_test(params, y, v[fits])][:need]
+        kept.append(accepted)
+        need -= accepted.size
+    return np.sort(np.concatenate(kept))
+
+
+def replica_one_at_a_time(beta_emp, a, n_a, seed, i, config):
+    """Replica i of a fit: drawn from substream ``replica_stream(i,
+    attempt)`` one attempt at a time, refit alone by ``fit_beta`` and
+    measured alone by ``ks_statistic``.  Returns (attempt, distance)."""
+    params = SamplerParams(a, beta_emp)
+    attempt = 0
+    while True:
+        rng = RngStream(seed, replica_stream(i, attempt))
+        sim = IntegerSample(variates_one_at_a_time(params, n_a, rng))
+        try:
+            beta = fit_beta(sufficient_stat(sim), a, config).beta_emp
+        except (DegenerateDataError, ConvergenceError):
+            attempt += 1
+            continue
+        return attempt, ks_statistic(sim, PowerLawModel(a, beta)).d

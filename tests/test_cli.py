@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -374,6 +375,37 @@ def test_cli_curves_on_huge_counts(tmp_path, capsys):
         assert float(emp_f) == c / total
         assert float(emp_s) == above / total
         above -= c
+
+
+def test_cli_tail_too_large_to_simulate(tmp_path):
+    # 2.2e12 observations ingest and fit, but one replica of them would
+    # take 16 TiB: a typed error (exit 1, a skipped cutoff in a scan), not a
+    # numpy MemoryError traceback.  The child process limits its own
+    # address space to 3 GB, so nothing that large is ever allocated.
+    counts = {1: 10**12, 2: 7 * 10**11, 3: 3 * 10**11, 10: 2 * 10**11, 1000: 12345}
+    f = tmp_path / "huge.counts"
+    f.write_text("".join(f"{v} {c}\n" for v, c in counts.items()), encoding="utf-8")
+    child = textwrap.dedent(f"""
+        import json, resource
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        from dplfit.cli import InputSpec, ingest, main
+        from dplfit.pipeline import ScanConfig, scan
+        code = main(["fit", {str(f)!r}, "--format", "counts", "--a", "1", "--nsim", "100"])
+        sample = ingest(InputSpec({str(f)!r}, "counts"))
+        result = scan(sample, ScanConfig(a_values=(1, 2), n_sim=100))
+        print(json.dumps({{"code": code, "fits": len(result.fits),
+                          "skipped": result.skipped}}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: a replica of {sum(counts.values())} observations" in proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 1
+    assert out["fits"] == 0
+    assert [a for a, _ in out["skipped"]] == [1, 2]
+    assert all(reason.startswith("TailTooLargeError: ") for _, reason in out["skipped"])
 
 
 @pytest.mark.parametrize("body,lineno,what", [

@@ -3,9 +3,8 @@ import pytest
 
 from dplfit import pipeline
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
-from dplfit.errors import ConvergenceError, DegenerateDataError
 from dplfit.ks import ks_statistic
-from dplfit.mle import MleConfig, fit_beta
+from dplfit.mle import DEFAULT_MLE_CONFIG, MleConfig, fit_beta
 from dplfit.pipeline import (
     ScanConfig,
     _seed_for_cutoff,
@@ -13,9 +12,9 @@ from dplfit.pipeline import (
     fit_at_a,
     scan,
 )
-from dplfit.sampling import RngStream, SamplerParams, replica_stream, sample_n
+from dplfit.sampling import RngStream, SamplerParams, sample_n
 
-from oracles import expanded
+from oracles import expanded, replica_one_at_a_time
 
 
 def power_law_data(beta, n, seed, a=1):
@@ -86,18 +85,20 @@ def test_replicas_do_not_depend_on_blocks(monkeypatch):
     assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == middle
 
 
-def _replica_by_hand(params, n_a, seed, i, config):
-    """Replica i drawn and refit one attempt at a time, as documented."""
-    attempt = 0
-    while True:
-        stream = replica_stream(i, attempt)
-        sim = sample_n(params, n_a, RngStream(seed, stream_id=stream))
-        try:
-            beta = fit_beta(sufficient_stat(sim), params.a, config).beta_emp
-        except (DegenerateDataError, ConvergenceError):
-            attempt += 1
-            continue
-        return attempt, ks_statistic(sim, PowerLawModel(params.a, beta)).d
+@pytest.mark.parametrize("beta,n,a,seed", [
+    (1.3, 60, 2, 0),             # groups of 32 replicas
+    (1.1, 4000, 1, 2**63 + 11),  # one replica a group, its batch in one pass
+    (1.6, 7000, 1, 2**64 - 1),   # batches drawn in column chunks
+])
+def test_fit_at_a_equals_one_replica_at_a_time(beta, n, a, seed):
+    # group draws, block seeding and the flat reduction give every replica
+    # the distance it has when drawn, refit and measured alone: bit for bit
+    data = power_law_data(beta, n, seed=43)
+    fit = fit_at_a(data, a, 100, seed=seed, keep_d_sims=True)
+    ref = [replica_one_at_a_time(fit.beta_emp, a, fit.n_a, seed, i, DEFAULT_MLE_CONFIG)
+           for i in range(100)]
+    assert fit.d_sims == tuple(d for _, d in ref)
+    assert fit.regenerated == sum(attempt for attempt, _ in ref)
 
 
 def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
@@ -107,10 +108,9 @@ def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
     data = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
     config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
     fit = fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
-    params = SamplerParams(1, fit.beta_emp)
     attempts = []
     for i in range(100):
-        attempt, d = _replica_by_hand(params, fit.n_a, 21, i, config)
+        attempt, d = replica_one_at_a_time(fit.beta_emp, 1, fit.n_a, 21, i, config)
         assert d == fit.d_sims[i]
         attempts.append(attempt)
     assert fit.regenerated == sum(attempts) > 10
@@ -143,6 +143,20 @@ def test_degenerate_replicas_are_regenerated_and_counted():
     # regeneration is deterministic too
     again = fit_at_a(data, 1, 100, seed=13)
     assert fit == again
+
+
+def test_fit_flags_replicas_biased_by_the_proposal_cap():
+    # at beta = 0.05 the sampler's 2^63 cap drops ~11% of the proposal
+    # mass, so the replicas are biased and the fit is flagged; at 1.13 the
+    # lost mass is ~1e-21 and the same fit is reliable
+    low = fit_at_a(power_law_data(0.05, 200, seed=44), 1, 100, seed=3)
+    assert abs(low.beta_emp - 0.05) < 0.02
+    assert SamplerParams(1, low.beta_emp).lost_mass > pipeline.LOST_MASS_LIMIT
+    assert low.regenerated <= 1
+    assert not low.reliable
+    high = fit_at_a(power_law_data(1.13, 200, seed=44), 1, 100, seed=3)
+    assert SamplerParams(1, high.beta_emp).lost_mass < 1e-18
+    assert high.reliable
 
 
 def test_fit_at_a_propagates_empty_tail():

@@ -10,15 +10,20 @@ from scipy.stats import chi2
 import dplfit.sampling
 from dplfit.distribution import PowerLawModel
 from dplfit.sampling import (
+    _CHUNK,
     RngStream,
     SamplerParams,
+    _pcg64_start,
     _proposals_from_uniforms,
+    _seek,
     accept_test,
     acceptance_ratio,
+    sample_groups,
     sample_n,
+    stream_words,
 )
 
-from oracles import expanded, proposal_mass, table
+from oracles import expanded, proposal_mass, table, variates_one_at_a_time
 
 
 def chi_squared_vs_pmf(values, model, n_bins=30):
@@ -222,6 +227,100 @@ def test_params_validation():
         SamplerParams(0, 1.0)
     with pytest.raises(ValueError):
         SamplerParams(1, 0.0)
+
+
+def test_lost_mass_at_the_proposal_cap():
+    # proposals y >= 2^63 are redrawn; their mass is (a / 2^63)^beta
+    assert SamplerParams(1, 0.05).lost_mass == pytest.approx(0.11266, rel=1e-4)
+    assert SamplerParams(1, 1.13).lost_mass < 1e-20
+    assert SamplerParams(10**6, 0.5).lost_mass == pytest.approx(
+        (10**6 / 2.0**63) ** 0.5, rel=1e-12)
+
+
+# ------------------------------------------- block seeding and group draws
+
+SEEDS = (0, 1, 2**63 + 11, 2**64 - 1)
+# first attempts, the last id below the retry base, and retry ids above it
+STREAMS = (0, 1, 6, 2**32 - 1, 2**32, 2**32 + 6, 5 * 2**32 + 17, 2**63 + 5)
+
+
+def _numpy_stream(seed, stream):
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+@pytest.mark.parametrize("seed", SEEDS + (2**32 - 1, 2**32))
+def test_stream_words_match_seed_sequence(seed):
+    words = stream_words(seed, STREAMS)
+    assert words.dtype == np.uint64 and words.shape == (len(STREAMS), 4)
+    for row, stream in zip(words.tolist(), STREAMS):
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+        assert row == ref.generate_state(4, np.uint64).tolist()
+
+
+def test_stream_words_reject_bad_seeds():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            stream_words(seed, [0])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_pcg64_matches_numpy(seed):
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for stream, words in zip(STREAMS, stream_words(seed, STREAMS).tolist()):
+        ref = _numpy_stream(seed, stream)
+        start = _pcg64_start(words)
+        _seek(bitgen, start)
+        assert bitgen.state["state"] == ref.state["state"]
+        expected = np.random.Generator(ref).random(1000)
+        assert gen.random(1000).tolist() == expected.tolist()
+        _seek(bitgen, start, 613)
+        assert gen.random(387).tolist() == expected[613:].tolist()
+
+
+@pytest.mark.parametrize("count,group", [(20, 32), (700, 7), (3000, 1), (6000, 1)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_group_rows_equal_one_at_a_time(seed, count, group):
+    # a full group, groups of 7, and groups of one row (the last two with a
+    # batch above and below the group budget); every row is the replica
+    # its own stream gives when drawn alone
+    assert max(1, _CHUNK // dplfit.sampling._batch_size(count)) == group
+    params = SamplerParams(2, 0.9)
+    streams = STREAMS + tuple(range(10, 10 + 2 * group))
+    groups = list(sample_groups(params, count, seed, streams))
+    sizes = [len(streams[lo:lo + group]) for lo in range(0, len(streams), group)]
+    assert [rows.shape for rows in groups] == [(size, count) for size in sizes]
+    for row, stream in zip(np.concatenate(groups), streams):
+        expected = variates_one_at_a_time(params, count, RngStream(seed, stream))
+        assert np.sort(row).tolist() == expected.tolist()
+        alone = sample_n(params, count, RngStream(seed, stream))
+        assert expanded(alone).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+def test_short_rows_continue_on_their_own_streams(monkeypatch, chunk):
+    # a batch rule that never fills a row leaves every row short after its
+    # first batch, so each draws further batches from its own stream; with
+    # chunks of 7 the larger batches are drawn a column chunk at a time
+    monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda need: need // 3 + 2)
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+    params = SamplerParams(1, 1.13)
+    for count in (5, 40, 300):
+        rows = np.concatenate(list(sample_groups(params, count, 9, STREAMS)))
+        for row, stream in zip(rows, STREAMS):
+            expected = variates_one_at_a_time(params, count, RngStream(9, stream))
+            assert np.sort(row).tolist() == expected.tolist()
+
+
+def test_sample_n_advances_its_stream():
+    # sample_n draws from where its stream stands and leaves it past the
+    # batches it used, as one-at-a-time draws from the same stream do
+    params = SamplerParams(3, 0.7)
+    rng, ref = RngStream(2**64 - 1, 2**32 + 1), RngStream(2**64 - 1, 2**32 + 1)
+    for count in (20, 700, 3000, 6000, 1):
+        got = expanded(sample_n(params, count, rng))
+        assert got.tolist() == variates_one_at_a_time(params, count, ref).tolist()
+    assert rng.uniform(5).tolist() == ref.uniform(5).tolist()
 
 
 def test_sampler_never_touches_zeta():
