@@ -2,16 +2,18 @@
 
 The model puts mass f(n) = n^-(beta+1) / zeta(beta+1, a) on the integers
 n = a, a+1, ... and has survival S(n) = zeta(beta+1, n) / zeta(beta+1, a).
+With s = beta+1 and Z(s, a) = a^s zeta(s, a) both are evaluated in scaled
+form, f(n) = (a/n)^s / Z(s, a) and S(n) = (a/n)^s Z(s, n) / Z(s, a), which
+stay in double range for every cutoff.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, EmptyTailError, NumericRangeError
-from .zeta import hurwitz_zeta, scaled_zeta
+from .errors import DegenerateDataError, EmptyTailError
+from .zeta import scaled_zeta
 
 # Anything closer to log(a) than this counts as "all data equal to a";
 # real near-degenerate samples sit many orders of magnitude above it.
@@ -99,36 +101,29 @@ class PowerLawModel:
 
     a: int
     beta: float
-    zeta_norm: float = field(init=False)
+    scaled_norm: float = field(init=False)  # Z(beta+1, a) = a^(beta+1) zeta(beta+1, a)
 
     def __post_init__(self):
         if self.a < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.a}")
         if not self.beta > 0:
             raise ValueError(f"exponent must be positive, got {self.beta}")
-        norm = hurwitz_zeta(self.beta + 1.0, self.a)
-        if not norm >= sys.float_info.min:
-            raise NumericRangeError(
-                f"zeta({self.beta + 1.0:.6g}, {self.a}) = {norm:.3g} is below the "
-                "double-precision range; the cutoff and exponent are too large"
-            )
-        object.__setattr__(self, "zeta_norm", norm)
+        object.__setattr__(self, "scaled_norm", float(scaled_zeta(self.beta + 1.0, self.a)))
 
-    def _check_support(self, n):
+    def _power(self, n):
+        """(a/n)^(beta+1) at n >= a (scalar or array)."""
         if np.min(n) < self.a:
             raise ValueError(f"some n are below the lower cutoff a={self.a}")
+        return np.exp(-(self.beta + 1.0) * np.log1p((np.asarray(n) - self.a) / self.a))
 
     def pmf(self, n):
         """Probability of the value n (scalar or array), n >= a."""
-        self._check_support(n)
-        out = 1.0 / (self.zeta_norm * np.asarray(n, dtype=np.float64) ** (self.beta + 1.0))
+        out = self._power(n) / self.scaled_norm
         return float(out) if out.ndim == 0 else out
 
     def survival(self, n):
         """Probability of a value >= n (scalar or array), n >= a; S(a) = 1."""
-        self._check_support(n)
-        n = np.asarray(n)
-        out = np.where(n == self.a, 1.0, hurwitz_zeta(self.beta + 1.0, n) / self.zeta_norm)
+        out = self._power(n) * (scaled_zeta(self.beta + 1.0, n) / self.scaled_norm)
         return float(out) if out.ndim == 0 else out
 
 

@@ -18,7 +18,8 @@ class ConvergenceError(DplfitError, RuntimeError):
 
 
 class NumericRangeError(DplfitError, ArithmeticError):
-    """A quantity falls outside double precision, e.g. zeta(beta+1, a) at a huge cutoff."""
+    """A quantity falls outside its numeric type, e.g. the KS point v + 1 after
+    the value v = 2^63 - 1."""
 
 
 class TailTooLargeError(DplfitError, MemoryError):

@@ -93,19 +93,49 @@ def table_points(a, values, above, distinct, sizes):
 def _deviations(s, a, points, emp, lengths):
     """|N_n/N_a - S(n)| at every KS point of every sample, as one flat array.
 
-    The model survival S(n) = (a/n)^s Z(s, n) / Z(s, a) comes from one
-    chunked ``scaled_zeta`` pass over all the points, so it stays in range
-    for any cutoff.
+    The model survival is S(n) = (a/n)^s Z(s, n) / Z(s, a), and from one
+    integer to the next it falls by the mass at n:
+
+        S(n+1) = S(n) - (a/n)^s / Z(s, a).
+
+    A sample's points fall into runs of consecutive integers.  The kernel
+    ``scaled_zeta`` runs only where a run starts: at the cutoff, where it
+    gives the norm Z(s, a), and at each point after a gap.  Along a run S
+    is carried by the subtraction, one run position at a time, so a
+    point's value depends only on its own run and a sample's distances do
+    not depend on the samples it is measured with.  Each step adds an
+    absolute error of about one ulp of S, the scale the distance is
+    measured at; relative to a small S(n) it can be large, which a
+    distance does not see.
     """
     s = np.repeat(s, lengths)
-    z = np.empty(points.size)
-    for lo in range(0, points.size, _ZETA_CHUNK):
-        hi = lo + _ZETA_CHUNK
-        z[lo:hi] = scaled_zeta(s[lo:hi], points[lo:hi])
-    # each sample's first point is the cutoff, where Z(s, a) is the norm
-    norm = np.repeat(z[np.cumsum(lengths) - lengths], lengths)
-    model = np.exp(-s * np.log1p((points - a) / a)) * (z / norm)
-    return np.abs(emp - model)
+    # (a/n)^s = exp(-s log1p((n-a)/a)), with one temporary per point
+    mass = (points - a) / a
+    np.log1p(mass, out=mass)
+    mass *= s
+    np.negative(mass, out=mass)
+    np.exp(mass, out=mass)
+    first = np.cumsum(lengths) - lengths
+    start = np.empty(points.size, dtype=bool)
+    np.not_equal(points[1:], points[:-1] + 1, out=start[1:])
+    start[first] = True
+    heads = np.flatnonzero(start)
+    z = np.empty(heads.size)
+    for lo in range(0, heads.size, _ZETA_CHUNK):
+        at = heads[lo:lo + _ZETA_CHUNK]
+        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s[at], points[at])
+    norm = np.repeat(z[np.searchsorted(heads, first)], lengths)
+    model = np.empty(points.size)
+    model[heads] = mass[heads] * (z / norm[heads])
+    mass /= norm
+    runs = np.diff(heads, append=points.size)
+    live = np.flatnonzero(runs > 1)
+    for j in range(1, int(runs.max(initial=0))):
+        live = live[runs[live] > j]
+        at = heads[live] + j
+        model[at] = model[at - 1] - mass[at - 1]
+    np.subtract(emp, model, out=model)
+    return np.abs(model, out=model)
 
 
 def ks_distances(s, a, points, emp, lengths):

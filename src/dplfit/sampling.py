@@ -168,8 +168,6 @@ class SamplerParams:
 
     a: int
     beta: float
-    u_max: float = field(init=False)
-    b: float = field(init=False)
     # (1 + 1/a)^beta - 1, the accept threshold's cutoff-side factor.
     ta_minus_1: float = field(init=False)
     # Proposal mass at or above the 2^63 cap, which the sampler redraws.
@@ -182,8 +180,6 @@ class SamplerParams:
             raise ValueError(f"exponent must be positive, got {self.beta}")
         tam1 = math.expm1(self.beta * math.log1p(1.0 / self.a))
         object.__setattr__(self, "ta_minus_1", tam1)
-        object.__setattr__(self, "u_max", float(self.a) ** -self.beta)
-        object.__setattr__(self, "b", float(self.a) ** self.beta * (1.0 + tam1))
         object.__setattr__(self, "lost_mass", (self.a / _MAX_PROPOSAL) ** self.beta)
 
 

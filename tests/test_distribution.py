@@ -13,12 +13,7 @@ from dplfit.distribution import (
     sigma_beta,
     sufficient_stat,
 )
-from dplfit.errors import (
-    DegenerateDataError,
-    DplfitError,
-    EmptyTailError,
-    NumericRangeError,
-)
+from dplfit.errors import DegenerateDataError, EmptyTailError
 from dplfit.ks import ks_points
 from dplfit.zeta import hurwitz_zeta
 
@@ -156,11 +151,13 @@ def test_model_validation():
         PowerLawModel(1, -2.0)
 
 
-def test_zeta_norm_cached():
+def test_scaled_norm_cached():
     m = PowerLawModel(1, 1.13)
-    assert m.zeta_norm == pytest.approx(zeta_bruteforce(2.13, 1, terms=10**6),
-                                        rel=1e-10)
-    assert m.zeta_norm > 1.0
+    assert m.scaled_norm == pytest.approx(zeta_bruteforce(2.13, 1, terms=10**6),
+                                          rel=1e-10)
+    m = PowerLawModel(10, 1.13)
+    assert m.scaled_norm == pytest.approx(10**2.13 * zeta_bruteforce(2.13, 10, terms=10**6),
+                                          rel=1e-10)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 3.0])
@@ -172,8 +169,9 @@ def test_pmf_normalization_brackets_one(beta, a):
     partial = float(np.sum(m.pmf(n)))
     s = beta + 1.0
     # integral bracket of the remainder sum_{n > top}
-    lo = (top + 1.0) ** (1.0 - s) / ((s - 1.0) * m.zeta_norm)
-    hi = float(top) ** (1.0 - s) / ((s - 1.0) * m.zeta_norm)
+    norm = hurwitz_zeta(s, a)
+    lo = (top + 1.0) ** (1.0 - s) / ((s - 1.0) * norm)
+    hi = float(top) ** (1.0 - s) / ((s - 1.0) * norm)
     assert partial + lo <= 1.0 + 1e-8
     assert partial + hi >= 1.0 - 1e-8
 
@@ -279,12 +277,21 @@ def test_degenerate_detection():
 
 
 def test_huge_cutoff_zeta_range():
-    # the scalar zeta underflows quietly instead of overflowing, and a
-    # model whose normalisation leaves double range is a typed error
+    # the unscaled zeta underflows quietly, while the model, which works
+    # with Z(s, a) = a^s zeta(s, a), stays in range at any cutoff
     assert hurwitz_zeta(31.0, 10**12) == 0.0
-    assert PowerLawModel(10**12, 8.0).survival(10**12 + 1) < 1.0
-    with pytest.raises(NumericRangeError) as err:
-        PowerLawModel(10**12, 30.0)
-    assert isinstance(err.value, DplfitError)
+    m = PowerLawModel(10**12, 30.0)
+    assert m.scaled_norm == pytest.approx(10**12 / 30.0 + 0.5, rel=1e-12)
+    assert m.pmf(10**12) == pytest.approx(30.0 / 10**12, rel=1e-10)
+    assert 0.0 < m.survival(10**12 + 10**10) < 1.0
     stat = SufficientStat(n_a=2, log_geo_mean=math.log(10**12) + 0.03)
     assert math.isfinite(log_likelihood(stat, 10**12, 30.0))
+
+
+def test_pmf_at_a_huge_cutoff_does_not_overflow():
+    # n^-(beta+1) underflowed here, leaving pmf 0.0 with an overflow warning
+    m = PowerLawModel(10**15, 20.0)
+    assert m.pmf(10**15) == pytest.approx(20.0 / 10**15, rel=1e-12)
+    assert m.pmf(np.array([10**15, 2 * 10**15])) == pytest.approx(
+        [20.0 / 10**15, 2.0**-21 * 20.0 / 10**15], rel=1e-12)
+    assert m.survival(2 * 10**15) == pytest.approx(2.0**-20, rel=1e-10)

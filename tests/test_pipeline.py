@@ -159,6 +159,19 @@ def test_fit_flags_replicas_biased_by_the_proposal_cap():
     assert high.reliable
 
 
+def test_fit_at_a_huge_cutoff_and_exponent():
+    # at a = 10^9, beta = 40 zeta(beta+1, a) is below double range and
+    # a^beta above it; the model, sampler, refit and KS all work scaled
+    data = power_law_data(40.0, 200, seed=45, a=10**9)
+    fit = fit_at_a(data, 10**9, 100, seed=4, keep_d_sims=True)
+    assert abs(fit.beta_emp - 40.0) < 4 * fit.sigma
+    assert fit.reliable
+    assert 0.0 < fit.d_emp < 0.2
+    ref = [replica_one_at_a_time(fit.beta_emp, 10**9, fit.n_a, 4, i, DEFAULT_MLE_CONFIG)
+           for i in range(10)]
+    assert fit.d_sims[:10] == tuple(d for _, d in ref)
+
+
 def test_fit_at_a_propagates_empty_tail():
     from dplfit.errors import EmptyTailError
 

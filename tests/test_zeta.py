@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 from dplfit.zeta import (
     BERNOULLI_EVEN,
-    DEFAULT_HEAD_TERMS,
-    DEFAULT_MAX_CORRECTIONS,
+    CORRECTIONS,
+    em_start,
     hurwitz_zeta,
+    scaled_zeta,
 )
 
-from oracles import correction_term, zeta_bruteforce
+from oracles import correction_term, scaled_zeta_mpmath, zeta_bruteforce
 
 GAMMAS = [1.1, 1.5, 2.0, 2.13, 3.0, 6.0]
 AS = [1, 2, 5, 10, 100]
@@ -83,10 +84,6 @@ def test_domain_errors():
         hurwitz_zeta(0.5, 1)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, 1, head_terms=0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, 1, max_corrections=19)
 
 
 def test_array_input_matches_scalar():
@@ -97,91 +94,111 @@ def test_array_input_matches_scalar():
         assert arr[i] == pytest.approx(scalar, rel=5e-15)
 
 
-def test_array_input_matches_scalar_with_early_stop():
-    # small head_terms makes the truncation rule bite; both paths must
-    # truncate identically
-    a = np.arange(1, 30)
-    for s in [2.0, 3.0, 6.0]:
-        arr = hurwitz_zeta(s, a, head_terms=1)
-        for i in [0, 1, 5, 28]:
-            scalar = hurwitz_zeta(s, int(a[i]), head_terms=1)
-            assert arr[i] == pytest.approx(scalar, rel=5e-15)
+def test_batch_matches_one_at_a_time_across_budgets():
+    # elements with head counts from 0 to ~100 evaluated together give
+    # bit for bit what each gives alone
+    s = np.array([1.0001, 2.13, 2.13, 5.0, 20.0, 51.0, 51.0, 2.13, 1.13])
+    a = np.array([1.0, 1.0, 14.0, 3.0, 45.0, 1.0, 2.0**63, 1e12, 9.0])
+    batch = scaled_zeta(s, a, derivatives=True)
+    for i in range(s.size):
+        alone = scaled_zeta(s[i], a[i], derivatives=True)
+        for got, want in zip(batch, alone):
+            assert got[i] == want
 
 
 def test_correction_term_closed_form():
     # C_1 = s / (2 (a+M)^(s+1)) at s=2, a=1, M=14
-    assert correction_term(1, 2.0, 1) == pytest.approx(1.0 / 3375.0, rel=1e-14)
+    assert correction_term(1, 2.0, 1, 14) == pytest.approx(1.0 / 3375.0, rel=1e-14)
 
 
 def test_correction_term_recursion():
-    c1 = correction_term(1, 2.0, 1)
-    c2 = correction_term(2, 2.0, 1, prev=c1)
+    c1 = correction_term(1, 2.0, 1, 14)
+    c2 = correction_term(2, 2.0, 1, 14, prev=c1)
     assert c2 == pytest.approx(c1 * 12.0 / 2700.0, rel=1e-14)
     with pytest.raises(ValueError):
-        correction_term(2, 2.0, 1)
+        correction_term(2, 2.0, 1, 14)
     with pytest.raises(ValueError):
-        correction_term(0, 2.0, 1)
+        correction_term(0, 2.0, 1, 14)
 
 
-def _correction_chain(s, a, head_terms, count=DEFAULT_MAX_CORRECTIONS):
-    terms, c = [], None
-    for k in range(1, count + 1):
-        c = correction_term(k, s, a, head_terms, prev=c)
-        terms.append(BERNOULLI_EVEN[k - 1] * c)
-    return terms
+# ------------------------------------------------------------- the budget
+
+ULP = 2.0**-52
+BOX_S = [1.0001, 1.13, 2.13, 5.0, 20.0, 51.0]
 
 
-def test_no_turnover_at_default_head_terms():
-    # With M = 14 the correction terms still shrink at k = 18 for every
-    # exponent in range, so the full 18-term sum is what gets used.
-    mags = [abs(t) for t in _correction_chain(3.0, 1, DEFAULT_HEAD_TERMS)]
-    assert all(x > y for x, y in zip(mags, mags[1:]))
-    assert int(np.argmin(mags)) == DEFAULT_MAX_CORRECTIONS - 1
+def _start(s):
+    return math.ceil(float(em_start(s)))
 
 
-def test_early_stop_at_small_head_terms():
-    # With M = 1 the series turns back up within the 18 tabulated terms.
-    terms = _correction_chain(3.0, 1, head_terms=1)
-    mags = [abs(t) for t in terms]
-    turn = int(np.argmin(mags))
-    assert turn < DEFAULT_MAX_CORRECTIONS - 1
-
-    head_int_half = (
-        1.0  # the single head term at a=1: 1^-s
-        + 2.0 ** (1.0 - 3.0) / 2.0
-        + 0.5 * 2.0**-3.0
-    )
-    truncated = head_int_half + math.fsum(terms[: turn + 1])
-    full = head_int_half + math.fsum(terms)
-    oracle = zeta_bruteforce(3.0, 1, terms=10**6)
-    assert abs(hurwitz_zeta(3.0, 1, head_terms=1) - oracle) <= abs(full - oracle)
-    assert abs(truncated - oracle) <= abs(full - oracle)
+def _remainder_bound(s, a, n):
+    """Johansson's bound on the scaled remainder after CORRECTIONS
+    corrections from N = n, 4 (s)_{2J-1} / (2 pi)^(2J) N^(1-2J) (a/N)^s,
+    with the exact rising factorial."""
+    j = CORRECTIONS
+    log = (math.log(4.0) + math.fsum(math.log(s + i) for i in range(2 * j - 1))
+           - 2 * j * math.log(2 * math.pi) + (1 - 2 * j) * math.log(n)
+           + s * math.log(a / n))
+    return math.exp(log)
 
 
-def test_early_stop_tracks_minimum_term():
-    # The implementation keeps exactly the strictly-decreasing prefix.
-    for s in [2.0, 3.0, 6.0]:
-        for m in [1, 2, 3]:
-            terms = _correction_chain(s, 1, head_terms=m)
-            mags = [abs(t) for t in terms]
-            kept = [terms[0]]
-            for prev, cur in zip(mags, mags[1:]):
-                if cur >= prev:
-                    break
-                kept.append(terms[len(kept)])
-            head = math.fsum(float(1 + k) ** -s for k in range(m))
-            am = 1.0 + m
-            expected = math.fsum(
-                [head, am ** (1.0 - s) / (s - 1.0), 0.5 * am**-s] + kept
-            )
-            assert hurwitz_zeta(s, 1, head_terms=m) == pytest.approx(
-                expected, rel=1e-15, abs=1e-300
-            )
+@pytest.mark.parametrize("s", BOX_S + [1.5, 3.0, 8.5, 35.0, 200.0])
+def test_budget_remainder_below_half_ulp(s):
+    # N = max(a, N0) keeps the remainder below 2^-53 Z for every cutoff,
+    # the worst case being a = N0 with no head term
+    n0 = _start(s)
+    for a in [1, 2, n0 - 1, n0, n0 + 1, 10 * n0, 10**12]:
+        if a < 1:
+            continue
+        z = float(scaled_zeta_mpmath(s, a)[0])
+        assert _remainder_bound(s, a, max(a, n0)) <= 2.0**-53 * z
+
+
+@pytest.mark.parametrize("s", BOX_S + [1.5, 3.0, 8.5, 35.0, 200.0])
+def test_budget_start_is_near_the_least_sufficient(s):
+    # the AM-GM bound on (s)_{2J-1} costs at most a quarter more head terms
+    # than the exact bound would ask for at a = N
+    least = 1
+    while _remainder_bound(s, least, least) > 2.0**-53 * max(1.0, least / (s - 1.0)):
+        least += 1
+    assert least <= _start(s) <= 1.25 * least + 1
+
+
+def test_no_head_terms_from_the_start():
+    # at a >= N0 the sum is the tail alone: a/(s-1) + 1/2 + corrections
+    for s in [1.13, 2.13, 20.0]:
+        for a in [_start(s), _start(s) + 1, 10**6]:
+            terms, c = [], None
+            for k in range(1, CORRECTIONS + 1):
+                c = correction_term(k, s, a, 0, prev=c)
+                terms.append(BERNOULLI_EVEN[k - 1] * c * a**s)
+            expected = math.fsum([a / (s - 1.0), 0.5] + terms)
+            assert scaled_zeta(s, float(a)) == pytest.approx(expected, rel=4 * ULP)
+
+
+@pytest.mark.parametrize("s", BOX_S)
+def test_kernel_against_high_precision_over_the_box(s):
+    # Z, dZ/ds and d2Z/ds2 within a few ulp of the 50-digit Euler-Maclaurin
+    # sum.  A head term exp(-s log1p(k/a)) carries a few ulp of its
+    # exponent s log1p(k/a), so the bound adds a few ulp of s times the
+    # next derivative's head part, H_{d+1} = sum_{0<k<M} t_k log1p(k/a)^(d+1).
+    n0 = _start(s)
+    for a in [1, 2, n0 - 1, n0, n0 + 1, 10**3, 10**12, 2**63 - 1]:
+        heads = max(0, math.ceil(float(em_start(s)) - a))
+        k = np.arange(1, max(heads, 1), dtype=np.float64)
+        ell = np.log1p(k / a)
+        t = np.exp(-s * ell)
+        got = scaled_zeta(s, float(a), derivatives=True)
+        want = scaled_zeta_mpmath(s, a)
+        for d in range(3):
+            head = float(np.sum(t * ell ** (d + 1)))
+            err = abs(float(want[d] - got[d]))
+            assert err <= 4 * ULP * (abs(float(want[d])) + s * head), (s, a, d)
 
 
 def test_bernoulli_table():
     assert BERNOULLI_EVEN[:4] == (1 / 6, -1 / 30, 1 / 42, -1 / 30)
-    assert len(BERNOULLI_EVEN) == 18
+    assert len(BERNOULLI_EVEN) == CORRECTIONS
     sympy = pytest.importorskip("sympy")
     for k, value in enumerate(BERNOULLI_EVEN, start=1):
         assert value == float(sympy.bernoulli(2 * k))
