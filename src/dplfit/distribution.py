@@ -86,12 +86,19 @@ class SufficientStat:
     log_geo_mean: float
 
 
+def log_geo_means(values, counts, starts, n):
+    """Mean log of each of several value/count tables held end to end:
+    sum(counts * log(values)) / n over the entries from each of ``starts``
+    to the next.  A table's mean does not depend on the others."""
+    return np.add.reduceat(counts * np.log(values), starts) / n
+
+
 def sufficient_stat(sample):
     """Sufficient statistic of an (already truncated) sample."""
     return SufficientStat(
         n_a=sample.size,
-        log_geo_mean=float(sample.unique_counts @ np.log(sample.unique_values)
-                           / sample.size),
+        log_geo_mean=float(log_geo_means(sample.unique_values, sample.unique_counts,
+                                         [0], sample.size)[0]),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import PowerLawModel, at_cutoff, sufficient_stat
+from .distribution import PowerLawModel, at_cutoff, log_geo_means, sufficient_stat
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -106,8 +106,8 @@ def _replicas(params, n_a, seed, streams):
     Each group of replicas from ``sample_groups`` is sorted and tabulated
     at once: a row's distinct values start where its sorted values change,
     and a value's count is the distance to the next start.  ln G is each
-    row's counts @ log(values) / n_a, the dot product ``sufficient_stat``
-    takes, so it is bit-identical to it.
+    row's segment of one ``log_geo_means`` call, the function
+    ``sufficient_stat`` calls with one segment, so it is bit-identical to it.
     """
     parts = []
     for rows in sample_groups(params, n_a, seed, streams):
@@ -119,10 +119,7 @@ def _replicas(params, n_a, seed, streams):
         values = rows.ravel()[at]
         counts = np.diff(at, append=rows.size)
         distinct = np.count_nonzero(new, axis=1)
-        ends = np.cumsum(distinct)
-        logs = np.log(values)
-        log_g = np.array([counts[i:j] @ logs[i:j]
-                          for i, j in zip((ends - distinct).tolist(), ends.tolist())]) / n_a
+        log_g = log_geo_means(values, counts, np.cumsum(distinct) - distinct, n_a)
         points = table_points(params.a, values, n_a - at % n_a, distinct,
                               np.full(distinct.size, n_a))
         parts.append((log_g,) + points)

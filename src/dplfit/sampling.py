@@ -11,21 +11,26 @@ with t_x = (1 + 1/x)^beta.  The threshold equals 1 at y = a and decreases
 toward a positive limit, so every draw costs O(1) proposals.  t_y - 1 is
 computed as expm1(beta * log1p(1/y)) to stay exact for huge y.
 
-Replicas are drawn a group at a time.  Each has its own PCG64 substream,
-seeded by numpy's SeedSequence(entropy=seed, spawn_key=(stream_id,)).
-``stream_words`` computes that hash for many ids at once in uint32 array
-arithmetic, and each row's start state is set on one reused bit
-generator, so no SeedSequence, PCG64 or Generator is built per replica.
-A group's first batches of uniforms are one (rows x 2 batch) array whose
-proposals are made and tested in one pass; each row keeps its first
-``count`` accepts, and a row that comes up short draws further batches
-from its own stream.  A tail whose batch exceeds the group budget is
-drawn one row at a time, each batch drawn and tested a column chunk at a
-time.  ``sample_n`` is the one-row case.  A row's variates are those of
-a one-at-a-time draw from its stream, whatever group it is drawn in.
+Each substream (seed, id) is a PCG64 whose state and increment are set
+from four words of numpy's ``SeedSequence(seed, spawn_key=(id // 256,))``:
+the words at 4 (id mod 256) of its 1024-word state, so one SeedSequence
+call keys 256 substreams.  Proposal k of a substream is made from its uniform
+2k (w = 1 - u) and tested with its uniform 2k + 1 (v), and a draw of
+``count`` variates is the first ``count`` accepted proposals.  How many
+proposals are drawn at once (``_batch_size``, ``_CHUNK``) is not part of
+that definition, so it changes no variate.
+
+Replicas are drawn a group at a time: each row's start state is set on
+one reused bit generator, and the group's first batches are one
+(rows x 2 batch) array of uniforms whose proposals are made and tested
+in one pass.  A row that comes up short, as every row of a tail larger
+than ``_CHUNK`` proposals does, goes on alone from the end of its first
+batch, ``_CHUNK`` proposals at a time.  ``sample_n`` draws a row from
+where an ``RngStream`` stands.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +38,7 @@ import numpy as np
 from .distribution import IntegerSample
 from .errors import TailTooLargeError
 
-RNG_ALGORITHM = "pcg64-seedsequence"
+RNG_ALGORITHM = "pcg64-seedsequence-block256-pairs"
 
 # Proposals whose float value would not fit in int64 are redrawn.  The
 # redraw leaves the distribution conditioned on y < 2^63, which removes
@@ -44,23 +49,16 @@ _MAX_PROPOSAL = float(2**63 - 1024)
 # replicas so that retries never collide with an extended ensemble.
 RETRY_STREAM_BASE = 2**32
 
-# Proposals are made and tested this many at a time: a group holds as many
-# replicas' first batches as fit, and a larger batch is drawn and tested in
-# chunks of this many columns.  Its temporaries (64 kB each) stay below
-# glibc's mmap threshold and are reused from pass to pass; whole-batch
-# temporaries are tens of MB on large tails, and mapping them afresh for
-# every replica costs more than the test itself.  The variates do not
-# depend on it.
-_CHUNK = 1 << 13
-
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Substreams keyed by one SeedSequence: ids i with equal i // _BLOCK.
+_BLOCK = 256
 _M128 = (1 << 128) - 1
+
+# At most this many proposals are made and tested at once: a group holds
+# as many replicas' first batches as fit, and a larger batch is drawn in
+# passes of this many.  Its temporaries stay small and are reused from
+# pass to pass; whole-batch temporaries are tens of MB on large tails,
+# and mapping them afresh for every replica costs more than the test.
+_CHUNK = 1 << 13
 
 
 def replica_stream(replica, attempt):
@@ -73,59 +71,25 @@ def replica_stream(replica, attempt):
     return attempt * RETRY_STREAM_BASE + replica
 
 
-def stream_words(seed, stream_ids):
-    """``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)``
-    for every id i, as one (ids x 4) uint64 array.
-
-    The seed words (padded to the pool size, as numpy pads when a spawn key
-    is given) are mixed once; only the mixing of each id's one or two
-    words and the output hash run per id, as uint32 array operations.
-    Every product is reduced mod 2^32, so the same code serves Python ints
-    and uint32 arrays.
-    """
-    seed = int(seed)
+def _stream_starts(seed, stream_ids):
+    """PCG64 (state, increment) of each substream (seed, id): the four
+    words at 4 (id mod 256) of ``SeedSequence(seed, spawn_key=(id // 256,))``
+    ``.generate_state(1024, np.uint64)``: the state is the first two, and
+    the increment the last two shifted up one bit and made odd, as in
+    PCG's reference seeding."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    ids = np.asarray(stream_ids, dtype=np.uint64)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32) & _M32
-        return result ^ result >> 16
-
-    pool = [hashmix(seed >> 32 * i & _M32) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    low = (ids & _M32).astype(np.uint32)
-    pool = [mix(word, hashmix(low)) for word in pool]
-    # an id of 2^32 or more is two entropy words, its high word mixed last
-    high = (ids >> 32).astype(np.uint32)
-    if high.any():
-        two = high != 0
-        pool = [np.where(two, mix(word, hashmix(high)), word) for word in pool]
-    const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _M32
-        value = value * const & _M32
-        out.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, len(out), 2)], axis=1)
-
-
-def _pcg64_start(words):
-    """PCG64's (state, increment) after seeding with the four 64-bit words."""
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
-    return ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _M128, inc
+    blocks = {}
+    starts = []
+    for stream_id in stream_ids:
+        block, slot = divmod(int(stream_id), _BLOCK)
+        if block not in blocks:
+            state = np.random.SeedSequence(seed, spawn_key=(block,))
+            blocks[block] = state.generate_state(4 * _BLOCK, np.uint64).reshape(-1, 4)
+        w0, w1, w2, w3 = blocks[block][slot].tolist()
+        starts.append((w0 << 64 | w1, ((w2 << 64 | w3) << 1 | 1) & _M128))
+    return starts
 
 
 def _seek(bitgen, start, skip=0):
@@ -146,16 +110,11 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def uniform_open_closed(self, size):
-        """Uniforms on (0, 1]."""
-        return 1.0 - self._gen.random(size)
+        start, = _stream_starts(self.seed, [self.stream_id])
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        _seek(self._gen.bit_generator, start)
 
     def uniform(self, size):
         """Uniforms on [0, 1)."""
@@ -172,15 +131,23 @@ class SamplerParams:
     ta_minus_1: float = field(init=False)
     # Proposal mass at or above the 2^63 cap, which the sampler redraws.
     lost_mass: float = field(init=False)
+    # Share of proposals accepted, q(a) Z(beta+1, a) with Z(s, a) = a^s
+    # zeta(s, a), from below: Z is taken as its first term plus the
+    # Euler-Maclaurin integral and half-term from a + 1, which is never
+    # above Z (but for rounding) and at most 2.1% below it.
+    rate: float = field(init=False)
 
     def __post_init__(self):
         if self.a < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.a}")
         if not self.beta > 0:
             raise ValueError(f"exponent must be positive, got {self.beta}")
-        tam1 = math.expm1(self.beta * math.log1p(1.0 / self.a))
+        log_step = math.log1p(1.0 / self.a)
+        tam1 = math.expm1(self.beta * log_step)
+        z = 1.0 + math.exp(-(self.beta + 1.0) * log_step) * ((self.a + 1.0) / self.beta + 0.5)
         object.__setattr__(self, "ta_minus_1", tam1)
         object.__setattr__(self, "lost_mass", (self.a / _MAX_PROPOSAL) ** self.beta)
+        object.__setattr__(self, "rate", min(1.0, tam1 / (1.0 + tam1) * z))
 
 
 def _proposals_from_uniforms(params, w):
@@ -213,111 +180,102 @@ def acceptance_ratio(params, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _batch_size(remaining):
-    """Proposals per batch while ``remaining`` variates are still wanted."""
-    # Overall acceptance rate is q(a)/f(a) >= ~0.5 for beta >= ~0.5; size
-    # batches for the worst realistic case and loop until filled.
-    return max(256, int(1.6 * remaining) + 16)
+def _batch_size(params, need):
+    """Proposals to draw while ``need`` accepts are still wanted: enough for
+    ``need`` plus three standard deviations of the accept count at
+    ``params.rate``, so that a row seldom comes up short."""
+    rate = params.rate
+    return int((need + 3.0 * math.sqrt(need * (1.0 - rate)) + 1.0) / rate) + 1
 
 
-def _propose(params, r, v):
-    """Proposals from uniforms r on [0, 1) (w = 1 - r) and whether their
-    uniforms v accept them; r and v of any one shape."""
-    y = _proposals_from_uniforms(params, 1.0 - r)
+def _propose(params, u):
+    """Proposals from uniforms u, proposal k from u[..., 2k] (w = 1 - u),
+    and whether u[..., 2k + 1] accepts it."""
+    y = _proposals_from_uniforms(params, 1.0 - u[..., 0::2])
     fits = y < _MAX_PROPOSAL
     y[~fits] = params.a
     y = np.maximum(y.astype(np.int64), params.a)
-    return y, fits & accept_test(params, y, v)
+    return y, fits & accept_test(params, y, u[..., 1::2])
 
 
-def _fill(params, row, filled, gen, start, drawn):
-    """Fill row[filled:] from the stream that starts at PCG64 state
-    ``start``, of which ``drawn`` uniforms are used, and leave ``gen`` just
-    past the last batch.
-
-    A batch is ``batch`` uniforms for w, then ``batch`` for v.  It is drawn
-    and tested a column chunk of ``_CHUNK`` at a time, each side of a chunk
-    read at its place in the stream, so that temporaries stay small and
-    the chunks past the last accept needed are never drawn.
-    """
-    bitgen = gen.bit_generator
+def _fill(params, row, filled, gen):
+    """Fill row[filled:] with the next accepted proposals of the stream at
+    ``gen``, at most ``_CHUNK`` proposals a pass, and leave ``gen`` just
+    past the pair of the last one."""
     count = row.size
-    while filled < count:
-        batch = _batch_size(count - filled)
-        for lo in range(0, batch, _CHUNK):
-            size = min(_CHUNK, batch - lo)
-            _seek(bitgen, start, drawn + lo)
-            r = gen.random(size)
-            _seek(bitgen, start, drawn + batch + lo)
-            y, ok = _propose(params, r, gen.random(size))
-            got = y[ok][:count - filled]
-            row[filled:filled + got.size] = got
-            filled += got.size
-            if filled == count:
-                break
-        drawn += 2 * batch
-    _seek(bitgen, start, drawn)
+    while True:
+        batch = min(_batch_size(params, count - filled), _CHUNK)
+        y, ok = _propose(params, gen.random(2 * batch))
+        at = np.flatnonzero(ok)[:count - filled]
+        row[filled:filled + at.size] = y[at]
+        filled += at.size
+        if filled == count:
+            # a negative advance steps back over the pairs not used
+            gen.bit_generator.advance(2 * (int(at[-1]) + 1 - batch))
+            return
 
 
-def _draw(params, count, gen, starts):
-    """One row of ``count`` variates, in draw order, per PCG64 start state
-    in ``starts``, all through the one bit generator of ``gen``.
-
-    While a row's first batch fits in ``_CHUNK`` proposals, the group's
-    first batches are drawn as one (rows x 2 batch) array and tested in one
-    pass; each row keeps its first ``count`` accepts, and a row left short
-    goes on alone.  A larger batch is drawn a row at a time.
-    """
-    batch = _batch_size(count)
+def _empty_rows(rows, count):
+    """An unfilled (rows x count) int64 array, or TailTooLargeError."""
     try:
-        out = np.empty((len(starts), count), dtype=np.int64)
-        if batch > _CHUNK:
-            for row, start in zip(out, starts):
-                _fill(params, row, 0, gen, start, 0)
-            return out
-        u = np.empty((len(starts), 2 * batch))
-        for row, start in zip(u, starts):
-            _seek(gen.bit_generator, start)
-            gen.random(out=row)
-        y, ok = _propose(params, u[:, :batch], u[:, batch:])
-        taken = np.cumsum(ok, axis=1, dtype=np.int32)
-        full = taken[:, -1] >= count
-        out[full] = y[ok & (taken <= count) & full[:, None]].reshape(-1, count)
-        for r in np.flatnonzero(~full).tolist():
-            got = y[r, ok[r]]
-            out[r, :got.size] = got
-            _fill(params, out[r], got.size, gen, starts[r], 2 * batch)
-        return out
+        return np.empty((rows, count), dtype=np.int64)
     except MemoryError as err:
         raise TailTooLargeError(
             f"a replica of {count} observations does not fit in memory"
         ) from err
 
 
+def _draw(params, count, gen, starts):
+    """One row of ``count`` variates, in draw order, per PCG64 start state
+    in ``starts``, all through the one bit generator of ``gen``.
+
+    The rows' first batches, of at most ``_CHUNK`` proposals, are drawn as
+    one (rows x 2 batch) array and tested in one pass; each row keeps its
+    first ``count`` accepts, and a row left short goes on alone.
+    """
+    bitgen = gen.bit_generator
+    batch = min(_batch_size(params, count), _CHUNK)
+    out = _empty_rows(len(starts), count)
+    u = np.empty((len(starts), 2 * batch))
+    for row, start in zip(u, starts):
+        _seek(bitgen, start)
+        gen.random(out=row)
+    y, ok = _propose(params, u)
+    taken = np.cumsum(ok, axis=1, dtype=np.int32)
+    full = taken[:, -1] >= count
+    out[full] = y[ok & (taken <= count) & full[:, None]].reshape(-1, count)
+    for r in np.flatnonzero(~full).tolist():
+        got = y[r, ok[r]]
+        out[r, :got.size] = got
+        _seek(bitgen, starts[r], 2 * batch)
+        _fill(params, out[r], got.size, gen)
+    return out
+
+
 def sample_groups(params, count, seed, stream_ids):
     """Yield ``count`` variates from each substream (seed, id), one row per
     id in draw order, a group of rows at a time.
 
-    Row i equals ``sample_n(params, count, RngStream(seed, id_i))`` as a
-    multiset.  A group holds as many rows as first batches fit in
-    ``_CHUNK`` proposals, at least one.
+    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``.
+    A group holds as many rows as first batches fit in ``_CHUNK``
+    proposals, at least one.
     """
-    words = stream_words(seed, stream_ids).tolist()
+    starts = _stream_starts(seed, stream_ids)
     gen = np.random.Generator(np.random.PCG64(0))
-    group = max(1, _CHUNK // _batch_size(count))
-    for lo in range(0, len(words), group):
-        yield _draw(params, count, gen, [_pcg64_start(w) for w in words[lo:lo + group]])
+    group = max(1, _CHUNK // _batch_size(params, count))
+    for lo in range(0, len(starts), group):
+        yield _draw(params, count, gen, starts[lo:lo + group])
 
 
 def sample_n(params, count, rng):
     """Draw ``count`` i.i.d. variates with mass f(n) = n^-(beta+1)/zeta(beta+1, a).
 
-    The one-row case of the group draw behind ``sample_groups``:
-    deterministic for a given (seed, stream_id, params, count), and it
-    advances ``rng`` past the uniforms it used.
+    They are the next ``count`` accepted proposals of ``rng``, which is
+    left just past the uniforms of the last one: deterministic for a given
+    (seed, stream_id, params) and the counts drawn before.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    state = rng._gen.bit_generator.state["state"]
-    row, = _draw(params, count, rng._gen, [(state["state"], state["inc"])])
+    row, = _empty_rows(1, count)
+    _fill(params, row, 0, rng._gen)
     return IntegerSample(row)

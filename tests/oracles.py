@@ -5,7 +5,8 @@ oracle is a massive direct sum, the KS oracle scans every integer of the
 expanded sample, the MLE oracle is an exhaustive grid search, the
 proposal mass and Bernoulli correction terms are their textbook formulas,
 and the replica oracles draw one replica at a time from its own
-``RngStream``, with no group draws and no block seeding.
+``RngStream`` in fixed chunks of their own, with no group draws and
+none of the sampler's batch sizes.
 """
 
 import numpy as np
@@ -166,25 +167,35 @@ def scaled_zeta_mpmath(s, a, dps=50, head=60, corrections=20):
         return tuple(mpmath.diffs(scaled, mpmath.mpf(s), 2))
 
 
-def variates_one_at_a_time(params, count, rng):
-    """``count`` sampler variates from an ``RngStream``, sorted, drawn as
-    the sampler's stream layout prescribes: per batch (the sampler's own
-    batch rule, looked up at call time), ``batch`` uniforms for w and then
-    ``batch`` for v, one whole-batch accept test, and the first accepts in
-    proposal order kept."""
+def accepted_in_order(params, count, rng, pairs=1000):
+    """The first ``count`` accepted proposals of an ``RngStream``, in
+    proposal order, and the number of proposals they took.
+
+    Proposal k is made from the stream's uniform 2k (w = 1 - u) and tested
+    with its uniform 2k + 1; a proposal past the sampler's int64 cap is
+    rejected.  ``pairs`` proposals are drawn at a time, which changes
+    nothing but the speed."""
     kept = []
-    need = count
-    while need:
-        batch = dplfit.sampling._batch_size(need)
-        w = rng.uniform_open_closed(batch)
-        v = rng.uniform(batch)
-        y = _proposals_from_uniforms(params, w)
-        fits = y < dplfit.sampling._MAX_PROPOSAL
-        y = np.maximum(y[fits].astype(np.int64), params.a)
-        accepted = y[accept_test(params, y, v[fits])][:need]
-        kept.append(accepted)
-        need -= accepted.size
-    return np.sort(np.concatenate(kept))
+    need, drawn = count, 0
+    while True:
+        u = rng.uniform(2 * pairs)
+        y = _proposals_from_uniforms(params, 1.0 - u[0::2])
+        k = np.flatnonzero(y < dplfit.sampling._MAX_PROPOSAL)
+        y = np.maximum(y[k].astype(np.int64), params.a)
+        hit = accept_test(params, y, u[1::2][k])
+        k, y = k[hit][:need], y[hit][:need]
+        kept.append(y)
+        need -= y.size
+        if not need:
+            return np.concatenate(kept), drawn + int(k[-1]) + 1
+        drawn += pairs
+
+
+def variates_one_at_a_time(params, count, rng):
+    """``count`` sampler variates from an ``RngStream``, sorted: the first
+    ``count`` accepts among its proposals, proposal k on its uniforms 2k
+    and 2k + 1 (``accepted_in_order``)."""
+    return np.sort(accepted_in_order(params, count, rng)[0])
 
 
 def replica_one_at_a_time(beta_emp, a, n_a, seed, i, config):

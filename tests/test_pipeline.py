@@ -86,9 +86,9 @@ def test_replicas_do_not_depend_on_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("beta,n,a,seed", [
-    (1.3, 60, 2, 0),             # groups of 32 replicas
+    (1.3, 60, 2, 0),             # one group of all 100 replicas
     (1.1, 4000, 1, 2**63 + 11),  # one replica a group, its batch in one pass
-    (1.6, 7000, 1, 2**64 - 1),   # batches drawn in column chunks
+    (1.6, 7000, 1, 2**64 - 1),   # batches drawn in passes of _CHUNK proposals
 ])
 def test_fit_at_a_equals_one_replica_at_a_time(beta, n, a, seed):
     # group draws, block seeding and the flat reduction give every replica

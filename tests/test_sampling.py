@@ -13,17 +13,20 @@ from dplfit.sampling import (
     _CHUNK,
     RngStream,
     SamplerParams,
-    _pcg64_start,
     _proposals_from_uniforms,
-    _seek,
     accept_test,
     acceptance_ratio,
     sample_groups,
     sample_n,
-    stream_words,
 )
 
-from oracles import expanded, proposal_mass, table, variates_one_at_a_time
+from oracles import (
+    accepted_in_order,
+    expanded,
+    proposal_mass,
+    table,
+    variates_one_at_a_time,
+)
 
 
 def chi_squared_vs_pmf(values, model, n_bins=30):
@@ -58,7 +61,7 @@ def test_proposal_mass_analytic():
 def test_proposal_frequencies_match_q():
     params = SamplerParams(1, 1.0)
     rng = RngStream(97, 0)
-    y = _proposals_from_uniforms(params, rng.uniform_open_closed(10**6))
+    y = _proposals_from_uniforms(params, 1.0 - rng.uniform(10**6))
     y = np.minimum(y, 2.0**62).astype(np.int64)
     stat, dof = chi_squared_vs_pmf(
         y,
@@ -145,7 +148,7 @@ def test_acceptance_rate_matches_numeric_sum():
     tail = (1.0 / 10**6)  # remaining proposal mass, accepted at most fully
     rng = RngStream(11, 0)
     n = 10**6
-    w = rng.uniform_open_closed(n)
+    w = 1.0 - rng.uniform(n)
     yy = np.maximum(_proposals_from_uniforms(params, w).astype(np.int64), 1)
     accepted = accept_test(params, yy, rng.uniform(n))
     rate = float(accepted.mean())
@@ -177,11 +180,17 @@ def test_count_one():
 
 @pytest.mark.parametrize("a,beta,count", [(1, 1.13, 50000), (3, 0.4, 3000), (1, 2.0, 20)])
 def test_chunked_test_matches_whole_batch(monkeypatch, a, beta, count):
-    # testing proposals in chunks must give the variates of one
-    # whole-batch test, for chunks far smaller than a batch too
+    # drawing proposals all in one pass, or in passes far smaller than the
+    # batch rule asks for, gives the variates of the real rule: the
+    # stream's first accepts
     params = SamplerParams(a, beta)
-    got = table(sample_n(params, count, RngStream(77, 1)))
-    for chunk in (2**62, 7):
+    got = sample_n(params, count, RngStream(77, 1))
+    expected = variates_one_at_a_time(params, count, RngStream(77, 1))
+    assert expanded(got).tolist() == expected.tolist()
+    got = table(got)
+    for chunk, rule in ((2**62, lambda params, need: 4 * need + 9),
+                        (7, lambda params, need: need // 3 + 2)):
+        monkeypatch.setattr(dplfit.sampling, "_batch_size", rule)
         monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
         assert table(sample_n(params, count, RngStream(77, 1))) == got
 
@@ -218,6 +227,8 @@ def test_stream_validation():
         RngStream(2**64, 0)
     with pytest.raises(ValueError):
         RngStream(1, -1)
+    with pytest.raises(TypeError):
+        RngStream(1.5, 0)
 
 
 def test_params_validation():
@@ -244,60 +255,68 @@ def test_lost_mass_at_the_proposal_cap():
         (10**6 / 2.0**63) ** 0.5, rel=1e-12)
 
 
-# ------------------------------------------- block seeding and group draws
+@pytest.mark.parametrize("a", [1, 2, 10])
+@pytest.mark.parametrize("beta", [0.3, 1.13, 5.0])
+def test_rate_bounds_the_acceptance_rate_from_below(a, beta):
+    # the acceptance rate is sum_y q(y) ratio(y); past y = 10^6 the terms
+    # are q(a) (a/y)^s, summed by their integral and half-term
+    params = SamplerParams(a, beta)
+    top = 10**6
+    y = np.arange(a, top, dtype=np.float64)
+    head = float(np.sum(proposal_mass(params, y) * acceptance_ratio(params, y)))
+    tail = proposal_mass(params, a) * a ** (beta + 1) * (
+        top ** -beta / beta + 0.5 * top ** -(beta + 1))
+    exact = head + tail
+    assert 0.98 * exact <= params.rate <= exact
+
+
+# ------------------------------------------- stream keys and group draws
 
 SEEDS = (0, 1, 2**63 + 11, 2**64 - 1)
-# first attempts, the last id below the retry base, and retry ids above it
-STREAMS = (0, 1, 6, 2**32 - 1, 2**32, 2**32 + 6, 5 * 2**32 + 17, 2**63 + 5)
+# first attempts, both sides of a 256-id key block, the last id below the
+# retry base, and retry ids above it
+STREAMS = (0, 1, 6, 255, 256, 2**32 - 1, 2**32, 2**32 + 6, 2**32 + 255,
+           5 * 2**32 + 17, 2**63 + 5)
 
 
-def _numpy_stream(seed, stream):
-    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+def test_stream_key_is_seed_sequence_words():
+    # substream (seed, id) is the PCG64 whose state is words 4 (id mod 256)
+    # and + 1 of the id's SeedSequence block, and whose increment is the
+    # next two, shifted up one bit and made odd
+    for seed in SEEDS:
+        for stream in (0, 255, 256, 2**63 + 5):
+            block = np.random.SeedSequence(seed, spawn_key=(stream // 256,))
+            words = block.generate_state(1024, np.uint64)[4 * (stream % 256):][:4].tolist()
+            inc = ((words[2] << 64 | words[3]) << 1 | 1) % 2**128
+            bitgen = np.random.PCG64()
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": words[0] << 64 | words[1], "inc": inc}}
+            expected = np.random.Generator(bitgen).random(100)
+            assert RngStream(seed, stream).uniform(100).tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("seed", SEEDS + (2**32 - 1, 2**32))
-def test_stream_words_match_seed_sequence(seed):
-    words = stream_words(seed, STREAMS)
-    assert words.dtype == np.uint64 and words.shape == (len(STREAMS), 4)
-    for row, stream in zip(words.tolist(), STREAMS):
-        ref = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-        assert row == ref.generate_state(4, np.uint64).tolist()
-
-
-def test_stream_words_reject_bad_seeds():
+def test_sample_groups_reject_bad_seeds():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            stream_words(seed, [0])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_seeded_pcg64_matches_numpy(seed):
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for stream, words in zip(STREAMS, stream_words(seed, STREAMS).tolist()):
-        ref = _numpy_stream(seed, stream)
-        start = _pcg64_start(words)
-        _seek(bitgen, start)
-        assert bitgen.state["state"] == ref.state["state"]
-        expected = np.random.Generator(ref).random(1000)
-        assert gen.random(1000).tolist() == expected.tolist()
-        _seek(bitgen, start, 613)
-        assert gen.random(387).tolist() == expected[613:].tolist()
+            next(sample_groups(SamplerParams(1, 1.0), 10, seed, [0]))
 
 
 @pytest.mark.parametrize("count,group", [(20, 32), (700, 7), (3000, 1), (6000, 1)])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_group_rows_equal_one_at_a_time(seed, count, group):
-    # a full group, groups of 7, and groups of one row (the last two with a
-    # batch above and below the group budget); every row is the replica
-    # its own stream gives when drawn alone
-    assert max(1, _CHUNK // dplfit.sampling._batch_size(count)) == group
+def test_group_rows_equal_one_at_a_time(monkeypatch, seed, count, group):
+    # groups of 32, 7 and 1 rows, the group budget set to that many first
+    # batches, with a partial last group; every row is the replica its own
+    # stream gives when drawn alone, and no two streams agree
     params = SamplerParams(2, 0.9)
-    streams = STREAMS + tuple(range(10, 10 + 2 * group))
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK",
+                        group * dplfit.sampling._batch_size(params, count))
+    streams = STREAMS + tuple(range(300, 300 + 2 * group))
     groups = list(sample_groups(params, count, seed, streams))
     sizes = [len(streams[lo:lo + group]) for lo in range(0, len(streams), group)]
     assert [rows.shape for rows in groups] == [(size, count) for size in sizes]
-    for row, stream in zip(np.concatenate(groups), streams):
+    rows = np.concatenate(groups)
+    assert len({row.tobytes() for row in rows}) == len(streams)
+    for row, stream in zip(rows, streams):
         expected = variates_one_at_a_time(params, count, RngStream(seed, stream))
         assert np.sort(row).tolist() == expected.tolist()
         alone = sample_n(params, count, RngStream(seed, stream))
@@ -308,25 +327,42 @@ def test_group_rows_equal_one_at_a_time(seed, count, group):
 def test_short_rows_continue_on_their_own_streams(monkeypatch, chunk):
     # a batch rule that never fills a row leaves every row short after its
     # first batch, so each draws further batches from its own stream; with
-    # chunks of 7 the larger batches are drawn a column chunk at a time
-    monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda need: need // 3 + 2)
-    monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+    # chunks of 7 the larger batches are drawn 7 proposals at a time.  The
+    # rows, in draw order, are those of the real batch rule and of one
+    # that fills every row in its first batch.
     params = SamplerParams(1, 1.13)
-    for count in (5, 40, 300):
-        rows = np.concatenate(list(sample_groups(params, count, 9, STREAMS)))
+    counts = (5, 40, 300)
+
+    def draw(count):
+        return np.concatenate(list(sample_groups(params, count, 9, STREAMS)))
+
+    real = [draw(count) for count in counts]
+    monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda params, need: need // 3 + 2)
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+    short = [draw(count) for count in counts]
+    monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda params, need: 4 * need + 9)
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", 2**62)
+    whole = [draw(count) for count in counts]
+    for count, rows, ref, other in zip(counts, short, real, whole):
+        assert rows.tolist() == ref.tolist() == other.tolist()
         for row, stream in zip(rows, STREAMS):
             expected = variates_one_at_a_time(params, count, RngStream(9, stream))
             assert np.sort(row).tolist() == expected.tolist()
 
 
 def test_sample_n_advances_its_stream():
-    # sample_n draws from where its stream stands and leaves it past the
-    # batches it used, as one-at-a-time draws from the same stream do
+    # successive sample_n calls on one stream take its successive accepts
+    # and leave it just past the uniforms of the last one
     params = SamplerParams(3, 0.7)
-    rng, ref = RngStream(2**64 - 1, 2**32 + 1), RngStream(2**64 - 1, 2**32 + 1)
-    for count in (20, 700, 3000, 6000, 1):
-        got = expanded(sample_n(params, count, rng))
-        assert got.tolist() == variates_one_at_a_time(params, count, ref).tolist()
+    seed, stream = 2**64 - 1, 2**32 + 1
+    counts = (20, 700, 3000, 6000, 1)
+    rng = RngStream(seed, stream)
+    got = [expanded(sample_n(params, count, rng)).tolist() for count in counts]
+    accepts, used = accepted_in_order(params, sum(counts), RngStream(seed, stream))
+    parts = np.split(accepts, np.cumsum(counts)[:-1])
+    assert got == [np.sort(part).tolist() for part in parts]
+    ref = RngStream(seed, stream)
+    ref.uniform(2 * used)
     assert rng.uniform(5).tolist() == ref.uniform(5).tolist()
 
 
