@@ -69,25 +69,29 @@ def table_points(a, values, above, distinct, sizes):
     # the distinct values before sample r.
     first = np.cumsum(distinct) - distinct
     starts = 2 * first + np.arange(distinct.size)
-    at_v = 2 * np.arange(values.size) + np.repeat(np.arange(distinct.size), distinct) + 1
-    beyond = np.empty_like(above)
-    beyond[:-1] = above[1:]
-    beyond[first + distinct - 1] = 0
+    # v_i of sample r sits at 2 i + r + 1, and v_i + 1 right after it
+    at_v = np.repeat(np.arange(1, distinct.size + 1), distinct)
+    at_v += np.arange(0, 2 * values.size, 2)
     merged = np.empty(2 * values.size + distinct.size, dtype=np.int64)
     count = np.empty(merged.size, dtype=np.int64)
     merged[starts] = a
     count[starts] = sizes
     merged[at_v] = values
     count[at_v] = above
-    merged[at_v + 1] = values + 1
-    count[at_v + 1] = beyond
+    at_v += 1
+    merged[at_v] = values + 1
+    count[at_v[:-1]] = above[1:]
+    count[at_v[first + distinct - 1]] = 0
     # Drop the repeats (a = v_0, v_i + 1 = v_{i+1}), which carry equal
     # counts; a sample's cutoff is below the previous sample's last point.
     fresh = np.empty(merged.size, dtype=bool)
     fresh[0] = True
     np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
     lengths = np.add.reduceat(fresh, starts, dtype=np.intp)
-    return merged[fresh], count[fresh] / np.repeat(sizes, lengths), lengths
+    # N_n / N_a as true division does it: both converted to float64
+    emp = count[fresh].astype(np.float64)
+    emp /= np.repeat(sizes, lengths)
+    return merged[fresh], emp, lengths
 
 
 def _deviations(s, a, points, emp, lengths):
@@ -108,26 +112,32 @@ def _deviations(s, a, points, emp, lengths):
     measured at; relative to a small S(n) it can be large, which a
     distance does not see.
     """
-    s = np.repeat(s, lengths)
-    # (a/n)^s = exp(-s log1p((n-a)/a)), with one temporary per point
-    mass = (points - a) / a
-    np.log1p(mass, out=mass)
-    mass *= s
-    np.negative(mass, out=mass)
-    np.exp(mass, out=mass)
+    s = np.asarray(s, dtype=np.float64)
     first = np.cumsum(lengths) - lengths
     start = np.empty(points.size, dtype=bool)
     np.not_equal(points[1:], points[:-1] + 1, out=start[1:])
     start[first] = True
     heads = np.flatnonzero(start)
+    # each sample's first run starts at its cutoff, where the kernel gives
+    # the norm Z(s, a); a run belongs to the last sample starting at or
+    # before it
+    lead = np.searchsorted(heads, first)
+    sample = np.repeat(np.arange(lead.size), np.diff(lead, append=heads.size))
+    # (a/n)^s = exp(-s log1p((n-a)/a)), with one temporary per point
+    mass = (points - a) / a
+    np.log1p(mass, out=mass)
+    mass *= np.repeat(s, lengths)
+    np.negative(mass, out=mass)
+    np.exp(mass, out=mass)
     z = np.empty(heads.size)
     for lo in range(0, heads.size, _ZETA_CHUNK):
         at = heads[lo:lo + _ZETA_CHUNK]
-        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s[at], points[at])
-    norm = np.repeat(z[np.searchsorted(heads, first)], lengths)
-    model = np.empty(points.size)
-    model[heads] = mass[heads] * (z / norm[heads])
+        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s[sample[lo:lo + _ZETA_CHUNK]], points[at])
+    norm = np.repeat(z[lead], lengths)
+    at_heads = mass[heads] * (z / norm[heads])
     mass /= norm
+    model = norm  # the norm's buffer takes the model, run by run
+    model[heads] = at_heads
     runs = np.diff(heads, append=points.size)
     live = np.flatnonzero(runs > 1)
     for j in range(1, int(runs.max(initial=0))):

@@ -1,10 +1,13 @@
 """The full recipe: fixed-cutoff fit with Monte Carlo p-value, and the
 scan over cutoffs that selects a* = min{a : p > threshold}.
 
-Replicas are drawn in groups (``sampling.sample_groups``); each group's
-rows are sorted and reduced to ln G, KS points and empirical survival as
-flat arrays with per-replica lengths, which the block's one refit and one
-KS pass take directly.
+Replicas are refit and measured in blocks of about ``_BLOCK_POINTS`` KS
+points, with one ``solve_betas`` and one ``ks_distances`` call per block.
+A block's replicas are drawn in units of about ``sampling._UNIT``
+variates (``sampling.sample_groups``), and each unit's rows are sorted
+and reduced to ln G, KS points and empirical survival as flat arrays
+with per-replica lengths.  Both sizes are memory budgets: they bound
+what a fit holds at once and change no result.
 """
 
 import os
@@ -21,13 +24,16 @@ from .errors import (
     NumericRangeError,
     TailTooLargeError,
 )
-from .ks import PValue, ks_distances, ks_statistic, p_value, table_points
+from .ks import PValue, ks_distances, ks_points, ks_statistic, p_value, table_points
 from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
 from .sampling import SamplerParams, replica_stream, sample_groups
 
-# Replicas are refit and measured this many at a time; only one block's KS
-# points are held at once.
-REPLICA_BLOCK = 256
+# Replicas are refit and measured in blocks of about this many KS points,
+# as many replicas as the empirical tail's point count divides into it (at
+# least one, at most n_sim); only one block's KS points are held at once.
+# The replicas are draws of the tail's size from the model fitted to it, so
+# its point count is a fair estimate of theirs.
+_BLOCK_POINTS = 1 << 16
 
 # A fit whose replicas lose more than this proposal mass to the sampler's
 # 2^63 cap is reported unreliable: its replicas are biased toward small
@@ -99,33 +105,59 @@ def _seed_for_cutoff(seed, a):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _tabulate(a, n_a, rows):
+    """Sort ``rows`` in place and return each row's ln G and all their KS
+    points, empirical survival and point counts, flat.
+
+    A row's distinct values start where its sorted values change, and a
+    value's count is the distance to the next start.  ln G is each row's
+    segment of one ``log_geo_means`` call, the function ``sufficient_stat``
+    calls with one segment, so it is bit-identical to it.
+    """
+    rows.sort(axis=1)
+    new = np.empty(rows.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+    at = np.flatnonzero(new)
+    values = rows.ravel()[at]
+    counts = np.diff(at, append=rows.size)
+    distinct = np.count_nonzero(new, axis=1)
+    log_g = log_geo_means(values, counts, np.cumsum(distinct) - distinct, n_a)
+    return (log_g,) + table_points(a, values, n_a - at % n_a, distinct,
+                                   np.full(distinct.size, n_a))
+
+
 def _replicas(params, n_a, seed, streams):
     """Draw the replicas of substreams ``streams``; return each one's ln G
     and all their KS points, empirical survival and point counts, flat.
 
-    Each group of replicas from ``sample_groups`` is sorted and tabulated
-    at once: a row's distinct values start where its sorted values change,
-    and a value's count is the distance to the next start.  ln G is each
-    row's segment of one ``log_geo_means`` call, the function
-    ``sufficient_stat`` calls with one segment, so it is bit-identical to it.
+    Each unit of replicas from ``sample_groups`` is tabulated at once
+    (``_tabulate``), and only one unit is held at a time.
     """
     parts = []
     for rows in sample_groups(params, n_a, seed, streams):
-        rows.sort(axis=1)
-        new = np.empty(rows.shape, dtype=bool)
-        new[:, 0] = True
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
-        at = np.flatnonzero(new)
-        values = rows.ravel()[at]
-        counts = np.diff(at, append=rows.size)
-        distinct = np.count_nonzero(new, axis=1)
-        log_g = log_geo_means(values, counts, np.cumsum(distinct) - distinct, n_a)
-        points = table_points(params.a, values, n_a - at % n_a, distinct,
-                              np.full(distinct.size, n_a))
-        parts.append((log_g,) + points)
+        parts.append(_tabulate(params.a, n_a, rows))
+        del rows  # let the unit go before the next one is drawn
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _attempt(params, n_a, seed, ids, attempt, mle_config):
+    """Draw, refit and measure replicas ``ids`` at ``attempt``: one
+    ``solve_betas`` and one ``ks_distances`` call.  Returns which of them
+    solved and those ones' KS distances.
+    """
+    a = params.a
+    log_g, points, emp, lengths = _replicas(params, n_a, seed, replica_stream(ids, attempt))
+    fit = np.flatnonzero(~at_cutoff(log_g, a))
+    beta, _, status = solve_betas(log_g[fit], a, mle_config)
+    solved = np.zeros(ids.size, dtype=bool)
+    solved[fit[status == SOLVED]] = True
+    if not solved.all():
+        keep = np.repeat(solved, lengths)
+        points, emp, lengths = points[keep], emp[keep], lengths[solved]
+    return solved, ks_distances(beta[status == SOLVED] + 1.0, a, points, emp, lengths)
 
 
 def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
@@ -143,11 +175,12 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     at the next attempt; regenerations are counted and more than 1% of
     them marks the result unreliable, as does a fitted exponent at which
     the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
-    proposal mass.  Replicas are drawn in groups (``sampling.sample_groups``)
-    and refit and measured in blocks of ``REPLICA_BLOCK``: the refits of a
-    block's attempt are one ``solve_betas`` call and its KS distances one
+    proposal mass.  Replicas are drawn and tabulated in units of about
+    ``sampling._UNIT`` variates (``sampling.sample_groups``), and refit and
+    measured in blocks of about ``_BLOCK_POINTS`` KS points: the refits of
+    a block's attempt are one ``solve_betas`` call and its KS distances one
     ``ks_distances`` call.  Each replica's result depends only on
-    (seed, i), not on the groups, the blocks or other replicas'
+    (seed, i, attempt), not on the units, the blocks or other replicas'
     regenerations.
     """
     tail = sample.truncated(a)
@@ -161,19 +194,13 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     d_sims = np.empty(n_sim)
     regenerated = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    for first in range(0, n_sim, REPLICA_BLOCK):
-        todo = np.arange(first, min(first + REPLICA_BLOCK, n_sim))
+    block = max(1, min(n_sim, _BLOCK_POINTS // ks_points(tail, a)[0].size))
+    for first in range(0, n_sim, block):
+        todo = np.arange(first, min(first + block, n_sim))
         attempt = 0
         while todo.size:
-            log_g, points, emp, lengths = _replicas(
-                params, n_a, seed, replica_stream(todo, attempt))
-            fit = np.flatnonzero(~at_cutoff(log_g, a))
-            beta, _, status = solve_betas(log_g[fit], a, mle_config)
-            solved = np.zeros(todo.size, dtype=bool)
-            solved[fit[status == SOLVED]] = True
-            keep = np.repeat(solved, lengths)
-            d_sims[todo[solved]] = ks_distances(beta[status == SOLVED] + 1.0, a,
-                                                points[keep], emp[keep], lengths[solved])
+            solved, d = _attempt(params, n_a, seed, todo, attempt, mle_config)
+            d_sims[todo[solved]] = d
             todo = todo[~solved]
             regenerated += todo.size
             if regenerated > retry_budget:

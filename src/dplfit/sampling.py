@@ -23,10 +23,14 @@ that definition, so it changes no variate.
 Replicas are drawn a group at a time: each row's start state is set on
 one reused bit generator, and the group's first batches are one
 (rows x 2 batch) array of uniforms whose proposals are made and tested
-in one pass.  A row that comes up short, as every row of a tail larger
-than ``_CHUNK`` proposals does, goes on alone from the end of its first
-batch, ``_CHUNK`` proposals at a time.  ``sample_n`` draws a row from
-where an ``RngStream`` stands.
+in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row that
+comes up short, as every row of a tail larger than ``_CHUNK`` proposals
+does, goes on alone from the end of its first batch, ``_CHUNK``
+proposals at a time.  ``sample_groups`` hands rows on in units of about
+``_UNIT`` variates, one array that its groups fill in place, so that the
+caller's per-unit work (sort, tabulation) runs on arrays of that size
+however few variates a row has.  ``sample_n`` draws a row from where an
+``RngStream`` stands.
 """
 
 import math
@@ -55,10 +59,14 @@ _M128 = (1 << 128) - 1
 
 # At most this many proposals are made and tested at once: a group holds
 # as many replicas' first batches as fit, and a larger batch is drawn in
-# passes of this many.  Its temporaries stay small and are reused from
-# pass to pass; whole-batch temporaries are tens of MB on large tails,
-# and mapping them afresh for every replica costs more than the test.
-_CHUNK = 1 << 13
+# passes of this many.  Its temporaries stay in cache and are reused from
+# pass to pass; at 2^16 proposals a draw runs slower, not faster.
+_CHUNK = 1 << 14
+
+# Rows are handed on in units of about this many variates (at least one
+# row a unit), so a small tail's replicas are sorted and tabulated
+# hundreds of rows at once.
+_UNIT = 1 << 18
 
 
 def replica_stream(replica, attempt):
@@ -225,46 +233,53 @@ def _empty_rows(rows, count):
         ) from err
 
 
-def _draw(params, count, gen, starts):
+def _draw(params, count, gen, starts, group):
     """One row of ``count`` variates, in draw order, per PCG64 start state
     in ``starts``, all through the one bit generator of ``gen``.
 
-    The rows' first batches, of at most ``_CHUNK`` proposals, are drawn as
-    one (rows x 2 batch) array and tested in one pass; each row keeps its
-    first ``count`` accepts, and a row left short goes on alone.
+    The rows are drawn ``group`` at a time: a group's first batches, of at
+    most ``_CHUNK`` proposals, are drawn as one (rows x 2 batch) array and
+    tested in one pass; each row keeps its first ``count`` accepts, and a
+    row left short goes on alone.
     """
     bitgen = gen.bit_generator
     batch = min(_batch_size(params, count), _CHUNK)
     out = _empty_rows(len(starts), count)
-    u = np.empty((len(starts), 2 * batch))
-    for row, start in zip(u, starts):
-        _seek(bitgen, start)
-        gen.random(out=row)
-    y, ok = _propose(params, u)
-    taken = np.cumsum(ok, axis=1, dtype=np.int32)
-    full = taken[:, -1] >= count
-    out[full] = y[ok & (taken <= count) & full[:, None]].reshape(-1, count)
-    for r in np.flatnonzero(~full).tolist():
-        got = y[r, ok[r]]
-        out[r, :got.size] = got
-        _seek(bitgen, starts[r], 2 * batch)
-        _fill(params, out[r], got.size, gen)
+    uniforms = np.empty((min(group, len(starts)), 2 * batch))
+    for lo in range(0, len(starts), group):
+        rows = out[lo:lo + group]
+        u = uniforms[:len(rows)]
+        for row, start in zip(u, starts[lo:lo + group]):
+            _seek(bitgen, start)
+            gen.random(out=row)
+        y, ok = _propose(params, u)
+        taken = np.cumsum(ok, axis=1, dtype=np.int32)
+        full = taken[:, -1] >= count
+        rows[full] = y[ok & (taken <= count) & full[:, None]].reshape(-1, count)
+        for r in np.flatnonzero(~full).tolist():
+            got = y[r, ok[r]]
+            rows[r, :got.size] = got
+            _seek(bitgen, starts[lo + r], 2 * batch)
+            _fill(params, rows[r], got.size, gen)
     return out
 
 
 def sample_groups(params, count, seed, stream_ids):
     """Yield ``count`` variates from each substream (seed, id), one row per
-    id in draw order, a group of rows at a time.
+    id in draw order, a unit of rows at a time.
 
     Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``.
-    A group holds as many rows as first batches fit in ``_CHUNK``
-    proposals, at least one.
+    A unit holds as many rows as fit in ``_UNIT`` variates, at least one,
+    and is drawn in groups of as many rows as first batches fit in
+    ``_CHUNK`` proposals, at least one.  Only the caller holds a unit once
+    it is yielded, so it can let it go before the next is drawn.
     """
     starts = _stream_starts(seed, stream_ids)
     gen = np.random.Generator(np.random.PCG64(0))
     group = max(1, _CHUNK // _batch_size(params, count))
-    for lo in range(0, len(starts), group):
-        yield _draw(params, count, gen, starts[lo:lo + group])
+    unit = max(1, _UNIT // count)
+    for lo in range(0, len(starts), unit):
+        yield _draw(params, count, gen, starts[lo:lo + unit], group)
 
 
 def sample_n(params, count, rng):

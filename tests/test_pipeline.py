@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dplfit.sampling
 from dplfit import pipeline
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
 from dplfit.ks import ks_statistic
@@ -73,16 +76,40 @@ def test_replica_distance_uses_own_refit():
         assert d != d_wrong
 
 
-def test_replicas_do_not_depend_on_blocks(monkeypatch):
+# The draw chunk (proposals), the reduce unit (variates) and the block
+# budget (KS points) at one row, one proposal and one point a pass, and
+# past any ensemble.
+PASS_SIZES = (1, 2**62)
+
+
+def with_pass_sizes(monkeypatch, size):
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", size)
+    monkeypatch.setattr(dplfit.sampling, "_UNIT", size)
+    monkeypatch.setattr(pipeline, "_BLOCK_POINTS", size)
+
+
+def test_replicas_do_not_depend_on_pass_sizes(monkeypatch):
     data = power_law_data(1.2, 200, seed=31)
-    small = fit_at_a(data, 1, 100, seed=8, keep_d_sims=True)
-    middle = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
-    large = fit_at_a(data, 1, 600, seed=8, keep_d_sims=True)
-    assert pipeline.REPLICA_BLOCK < 300
-    assert large.d_sims[:100] == small.d_sims
-    assert large.d_sims[:300] == middle.d_sims
-    monkeypatch.setattr(pipeline, "REPLICA_BLOCK", 7)
-    assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == middle
+    default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+    larger = fit_at_a(data, 1, 600, seed=8, keep_d_sims=True)
+    assert larger.d_sims[:300] == default.d_sims
+    for size in PASS_SIZES:
+        with_pass_sizes(monkeypatch, size)
+        assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
+
+
+def test_fit_at_a_stays_within_its_memory_budget():
+    # the draw, reduce and block budgets bound what one fit holds at once:
+    # a tail of about 350 observations (the corpus scan's middle cutoffs)
+    # at n_sim = 1000 peaks at about 5.5 MB
+    data = power_law_data(1.13, 350, seed=5, a=23)
+    tracemalloc.start()
+    try:
+        fit_at_a(data, 23, 1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("beta,n,a,seed", [
@@ -116,8 +143,9 @@ def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
     assert fit.regenerated == sum(attempts) > 10
     longer = fit_at_a(data, 1, 160, seed=21, mle_config=config, keep_d_sims=True)
     assert longer.d_sims[:100] == fit.d_sims
-    monkeypatch.setattr(pipeline, "REPLICA_BLOCK", 3)
-    assert fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True) == fit
+    for size in PASS_SIZES:
+        with_pass_sizes(monkeypatch, size)
+        assert fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True) == fit
 
 
 def test_no_exact_ties_between_replicas_and_data():

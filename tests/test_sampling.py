@@ -304,12 +304,15 @@ def test_sample_groups_reject_bad_seeds():
 @pytest.mark.parametrize("count,group", [(20, 32), (700, 7), (3000, 1), (6000, 1)])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_group_rows_equal_one_at_a_time(monkeypatch, seed, count, group):
-    # groups of 32, 7 and 1 rows, the group budget set to that many first
-    # batches, with a partial last group; every row is the replica its own
-    # stream gives when drawn alone, and no two streams agree
+    # units of 32, 7 and 1 rows, the unit budget set to that many rows,
+    # with a partial last unit, each drawn in groups of a third as many
+    # rows (at least one), the group budget set to that many first
+    # batches; every row is the replica its own stream gives when drawn
+    # alone, and no two streams agree
     params = SamplerParams(2, 0.9)
+    monkeypatch.setattr(dplfit.sampling, "_UNIT", group * count)
     monkeypatch.setattr(dplfit.sampling, "_CHUNK",
-                        group * dplfit.sampling._batch_size(params, count))
+                        max(1, group // 3) * dplfit.sampling._batch_size(params, count))
     streams = STREAMS + tuple(range(300, 300 + 2 * group))
     groups = list(sample_groups(params, count, seed, streams))
     sizes = [len(streams[lo:lo + group]) for lo in range(0, len(streams), group)]
