@@ -17,7 +17,6 @@ from .errors import (
     DegenerateDataError,
     DplfitError,
     EmptyTailError,
-    NumericRangeError,
     ParseError,
     TailTooLargeError,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "KsResult",
     "MleConfig",
     "MleResult",
-    "NumericRangeError",
     "ParseError",
     "PowerLawModel",
     "PValue",

@@ -17,11 +17,6 @@ class ConvergenceError(DplfitError, RuntimeError):
     """The likelihood maximizer exhausted its budget or ran into a search bound."""
 
 
-class NumericRangeError(DplfitError, ArithmeticError):
-    """A quantity falls outside its numeric type, e.g. the KS point v + 1 after
-    the value v = 2^63 - 1."""
-
-
 class TailTooLargeError(DplfitError, MemoryError):
     """A tail has too many observations to simulate a replica of in memory."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import check_identifiable, log_likelihood, sigma_beta
+from .distribution import check_identifiable, sigma_beta
 from .errors import ConvergenceError
 from .zeta import scaled_zeta
 
@@ -50,7 +50,6 @@ DEFAULT_MLE_CONFIG = MleConfig()
 class MleResult:
     beta_emp: float
     sigma: float
-    loglik_at_max: float
     iterations: int
 
 
@@ -161,6 +160,5 @@ def fit_beta(stat, a, config=DEFAULT_MLE_CONFIG):
     return MleResult(
         beta_emp=beta,
         sigma=sigma_beta(beta, stat.n_a),
-        loglik_at_max=log_likelihood(stat, a, beta),
         iterations=int(iterations[0]),
     )

@@ -1,39 +1,34 @@
 """The full recipe: fixed-cutoff fit with Monte Carlo p-value, and the
 scan over cutoffs that selects a* = min{a : p > threshold}.
 
-Replicas are refit and measured in blocks of about ``_BLOCK_POINTS`` KS
-points, with one ``solve_betas`` and one ``ks_distances`` call per block.
-A block's replicas are drawn in units of about ``sampling._UNIT``
-variates (``sampling.sample_groups``), and each unit's rows are sorted
-and reduced to ln G, KS points and empirical survival as flat arrays
-with per-replica lengths.  Both sizes are memory budgets: they bound
-what a fit holds at once and change no result.
+Replicas are refit and measured in blocks of about ``_BLOCK_VALUES``
+distinct values, with one ``solve_betas`` and one ``ks_distances`` call
+per block.  A block's replicas are drawn in units of about
+``sampling._UNIT`` variates (``sampling.sample_groups``), and each unit's
+rows are sorted and reduced to ln G and their tables of distinct values
+and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
+memory budgets: they bound what a fit holds at once and change no result.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .distribution import PowerLawModel, at_cutoff, log_geo_means, sufficient_stat
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    EmptyTailError,
-    NumericRangeError,
-    TailTooLargeError,
-)
-from .ks import PValue, ks_distances, ks_points, ks_statistic, p_value, table_points
+from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
+from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
-from .sampling import SamplerParams, replica_stream, sample_groups
+from .sampling import SamplerParams, replica_stream, sample_groups, stream_starts
 
-# Replicas are refit and measured in blocks of about this many KS points,
-# as many replicas as the empirical tail's point count divides into it (at
-# least one, at most n_sim); only one block's KS points are held at once.
-# The replicas are draws of the tail's size from the model fitted to it, so
-# its point count is a fair estimate of theirs.
-_BLOCK_POINTS = 1 << 16
+# Replicas are refit and measured in blocks of about this many distinct
+# values, as many replicas as the empirical tail's distinct-value count
+# divides into it (at least one, at most n_sim); only one block's tables
+# are held at once.  The replicas are draws of the tail's size from the
+# model fitted to it, so its count is a fair estimate of theirs.
+_BLOCK_VALUES = 1 << 15
 
 # A fit whose replicas lose more than this proposal mass to the sampler's
 # 2^63 cap is reported unreliable: its replicas are biased toward small
@@ -105,9 +100,9 @@ def _seed_for_cutoff(seed, a):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _tabulate(a, n_a, rows):
-    """Sort ``rows`` in place and return each row's ln G and all their KS
-    points, empirical survival and point counts, flat.
+def _tabulate(n_a, rows):
+    """Sort ``rows`` in place and return each row's ln G and all their
+    distinct values v, N_v and distinct-value counts, flat.
 
     A row's distinct values start where its sorted values change, and a
     value's count is the distance to the next start.  ln G is each row's
@@ -123,41 +118,40 @@ def _tabulate(a, n_a, rows):
     counts = np.diff(at, append=rows.size)
     distinct = np.count_nonzero(new, axis=1)
     log_g = log_geo_means(values, counts, np.cumsum(distinct) - distinct, n_a)
-    return (log_g,) + table_points(a, values, n_a - at % n_a, distinct,
-                                   np.full(distinct.size, n_a))
+    return log_g, values, n_a - at % n_a, distinct
 
 
-def _replicas(params, n_a, seed, streams):
-    """Draw the replicas of substreams ``streams``; return each one's ln G
-    and all their KS points, empirical survival and point counts, flat.
+def _replicas(params, n_a, starts):
+    """Draw the replicas of start states ``starts``; return each one's ln G
+    and all their distinct values, N_v and distinct-value counts, flat.
 
     Each unit of replicas from ``sample_groups`` is tabulated at once
     (``_tabulate``), and only one unit is held at a time.
     """
     parts = []
-    for rows in sample_groups(params, n_a, seed, streams):
-        parts.append(_tabulate(params.a, n_a, rows))
+    for rows in sample_groups(params, n_a, starts):
+        parts.append(_tabulate(n_a, rows))
         del rows  # let the unit go before the next one is drawn
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _attempt(params, n_a, seed, ids, attempt, mle_config):
-    """Draw, refit and measure replicas ``ids`` at ``attempt``: one
+def _attempt(params, n_a, starts, mle_config):
+    """Draw, refit and measure the replicas of start states ``starts``: one
     ``solve_betas`` and one ``ks_distances`` call.  Returns which of them
     solved and those ones' KS distances.
     """
     a = params.a
-    log_g, points, emp, lengths = _replicas(params, n_a, seed, replica_stream(ids, attempt))
+    log_g, values, above, lengths = _replicas(params, n_a, starts)
     fit = np.flatnonzero(~at_cutoff(log_g, a))
     beta, _, status = solve_betas(log_g[fit], a, mle_config)
-    solved = np.zeros(ids.size, dtype=bool)
+    solved = np.zeros(len(starts), dtype=bool)
     solved[fit[status == SOLVED]] = True
     if not solved.all():
         keep = np.repeat(solved, lengths)
-        points, emp, lengths = points[keep], emp[keep], lengths[solved]
-    return solved, ks_distances(beta[status == SOLVED] + 1.0, a, points, emp, lengths)
+        values, above, lengths = values[keep], above[keep], lengths[solved]
+    return solved, ks_distances(beta[status == SOLVED] + 1.0, a, values, above, lengths)
 
 
 def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
@@ -176,10 +170,13 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     them marks the result unreliable, as does a fitted exponent at which
     the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
     proposal mass.  Replicas are drawn and tabulated in units of about
-    ``sampling._UNIT`` variates (``sampling.sample_groups``), and refit and
-    measured in blocks of about ``_BLOCK_POINTS`` KS points: the refits of
-    a block's attempt are one ``solve_betas`` call and its KS distances one
-    ``ks_distances`` call.  Each replica's result depends only on
+    ``sampling._UNIT`` variates (``sampling.sample_groups``), and refit
+    and measured in blocks of about ``_BLOCK_VALUES`` distinct values: the
+    refits of a block's attempt are one ``solve_betas`` call and its KS
+    distances one ``ks_distances`` call, which reads the replicas' tables
+    of distinct values as they are.  First attempts take their start
+    states from one ``stream_starts`` generator, so each 256-id key block
+    is hashed once per fit.  Each replica's result depends only on
     (seed, i, attempt), not on the units, the blocks or other replicas'
     regenerations.
     """
@@ -194,12 +191,14 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     d_sims = np.empty(n_sim)
     regenerated = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    block = max(1, min(n_sim, _BLOCK_POINTS // ks_points(tail, a)[0].size))
+    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
+    first_starts = stream_starts(seed, range(n_sim))
     for first in range(0, n_sim, block):
         todo = np.arange(first, min(first + block, n_sim))
+        starts = list(islice(first_starts, todo.size))
         attempt = 0
         while todo.size:
-            solved, d = _attempt(params, n_a, seed, todo, attempt, mle_config)
+            solved, d = _attempt(params, n_a, starts, mle_config)
             d_sims[todo[solved]] = d
             todo = todo[~solved]
             regenerated += todo.size
@@ -208,6 +207,7 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
                     f"more than {retry_budget} replica refits failed at a={a}"
                 )
             attempt += 1
+            starts = list(stream_starts(seed, replica_stream(todo, attempt)))
 
     return FitAtA(
         a=int(a),
@@ -235,7 +235,7 @@ def _fit_one_guarded(args):
     try:
         return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a), mle_config)
     except (EmptyTailError, DegenerateDataError, ConvergenceError,
-            NumericRangeError, TailTooLargeError) as err:
+            TailTooLargeError) as err:
         return (type(err).__name__, str(err))
 
 

@@ -79,25 +79,25 @@ def replica_stream(replica, attempt):
     return attempt * RETRY_STREAM_BASE + replica
 
 
-def _stream_starts(seed, stream_ids):
-    """PCG64 (state, increment) of each substream (seed, id): the four
-    words at 4 (id mod 256) of ``SeedSequence(seed, spawn_key=(id // 256,))``
-    ``.generate_state(1024, np.uint64)``: the state is the first two, and
-    the increment the last two shifted up one bit and made odd, as in
-    PCG's reference seeding."""
+def stream_starts(seed, stream_ids):
+    """Yield the PCG64 (state, increment) of each substream (seed, id): the
+    four words at 4 (id mod 256) of ``SeedSequence(seed, spawn_key=(id //
+    256,)).generate_state(1024, np.uint64)``: the state is the first two,
+    and the increment the last two shifted up one bit and made odd, as in
+    PCG's reference seeding.  A key block is hashed when an id's block is
+    not the previous id's, so increasing ids hash each block once."""
     seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    blocks = {}
-    starts = []
+    block = None
     for stream_id in stream_ids:
-        block, slot = divmod(int(stream_id), _BLOCK)
-        if block not in blocks:
+        key, slot = divmod(int(stream_id), _BLOCK)
+        if key != block:
+            block = key
             state = np.random.SeedSequence(seed, spawn_key=(block,))
-            blocks[block] = state.generate_state(4 * _BLOCK, np.uint64).reshape(-1, 4)
-        w0, w1, w2, w3 = blocks[block][slot].tolist()
-        starts.append((w0 << 64 | w1, ((w2 << 64 | w3) << 1 | 1) & _M128))
-    return starts
+            words = state.generate_state(4 * _BLOCK, np.uint64).reshape(-1, 4)
+        w0, w1, w2, w3 = words[slot].tolist()
+        yield w0 << 64 | w1, ((w2 << 64 | w3) << 1 | 1) & _M128
 
 
 def _seek(bitgen, start, skip=0):
@@ -120,7 +120,7 @@ class RngStream:
     def __post_init__(self):
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
-        start, = _stream_starts(self.seed, [self.stream_id])
+        start, = stream_starts(self.seed, [self.stream_id])
         self._gen = np.random.Generator(np.random.PCG64(0))
         _seek(self._gen.bit_generator, start)
 
@@ -264,17 +264,18 @@ def _draw(params, count, gen, starts, group):
     return out
 
 
-def sample_groups(params, count, seed, stream_ids):
-    """Yield ``count`` variates from each substream (seed, id), one row per
-    id in draw order, a unit of rows at a time.
+def sample_groups(params, count, starts):
+    """Yield ``count`` variates from each start state in ``starts``, one row
+    per start in draw order, a unit of rows at a time.
 
-    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``.
+    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``
+    when start i is the ``stream_starts`` of (seed, id_i).
     A unit holds as many rows as fit in ``_UNIT`` variates, at least one,
     and is drawn in groups of as many rows as first batches fit in
     ``_CHUNK`` proposals, at least one.  Only the caller holds a unit once
     it is yielded, so it can let it go before the next is drawn.
     """
-    starts = _stream_starts(seed, stream_ids)
+    starts = list(starts)
     gen = np.random.Generator(np.random.PCG64(0))
     group = max(1, _CHUNK // _batch_size(params, count))
     unit = max(1, _UNIT // count)

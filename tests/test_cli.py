@@ -22,7 +22,7 @@ from dplfit.cli import (
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
 from dplfit.errors import DplfitError, ParseError
 from dplfit.mle import fit_beta
-from dplfit.pipeline import ScanConfig
+from dplfit.pipeline import LOST_MASS_LIMIT, ScanConfig
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
 from oracles import expanded, table
@@ -512,6 +512,23 @@ def test_cli_fit_at_huge_cutoff(tmp_path, capsys):
     code = main(["fit", str(f), "--format", "counts", "--a", str(a), "--nsim", "100"])
     assert code == 0
     assert "beta=29.5602" in capsys.readouterr().out
+
+
+def test_cli_fit_with_the_largest_int64_value(tmp_path):
+    # the tail reaches 2^63 - 1, the largest value a file may hold; the
+    # fit runs, and its exponent is so small at this cutoff that the
+    # sampler's 2^63 cap marks it unreliable, with no replica regenerated
+    a = 2**62
+    values = [a + k * (a // 40) for k in range(40)] + [2**63 - 1]
+    f = tmp_path / "edge.txt"
+    f.write_text("".join(f"{v}\n" for v in values), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["fit", str(f), "--a", str(a), "--nsim", "100", "--out", str(out)])
+    assert code == 0
+    fit = json.loads(out.read_text(encoding="utf-8"))["fit"]
+    assert fit["n_a"] == 41 and fit["regenerated"] == 0
+    assert fit["reliable"] is False
+    assert SamplerParams(a, fit["beta_emp"]).lost_mass > LOST_MASS_LIMIT
 
 
 def test_cli_import_needs_no_scipy():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dplfit.distribution import IntegerSample, PowerLawModel
-from dplfit.errors import NumericRangeError
 from dplfit.ks import ks_statistic, p_value
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
@@ -29,11 +28,13 @@ def test_small_sample_matches_exhaustive_scan():
     assert r.argmax_n == n_oracle
 
 
-def test_largest_int64_value_is_a_typed_error():
-    # the point v + 1 after the largest value would wrap around
-    top = np.iinfo(np.int64).max
-    with pytest.raises(NumericRangeError):
-        ks_statistic(IntegerSample([2**62, top]), PowerLawModel(2**62, 2.0))
+def test_largest_int64_value_is_measured():
+    # half the data sit at the cutoff, where S(a + 1) = 1 - f(a) rounds to
+    # 1: d = 1/2 just past the cutoff (mpmath: 0.49999999999999999957),
+    # and the point just past 2^63 - 1 is reached without an int64 value
+    r = ks_statistic(IntegerSample([2**62, 2**63 - 1]), PowerLawModel(2**62, 2.0))
+    assert r.d == 0.5
+    assert r.argmax_n == 2**62 + 1
 
 
 def test_mismatch_below_cutoff():
@@ -44,7 +45,7 @@ def test_mismatch_below_cutoff():
 @given(st.data())
 @settings(max_examples=150)
 def test_matches_exhaustive_scan_random_samples(data):
-    kind = data.draw(st.sampled_from(["powerlaw", "uniform", "geometric"]))
+    kind = data.draw(st.sampled_from(["powerlaw", "uniform", "geometric", "odd"]))
     size = data.draw(st.integers(min_value=1, max_value=200))
     seed = data.draw(st.integers(min_value=0, max_value=10**6))
     rng = np.random.default_rng(seed)
@@ -54,9 +55,14 @@ def test_matches_exhaustive_scan_random_samples(data):
         values = np.minimum(values, 10**4)
     elif kind == "uniform":
         values = rng.integers(1, 50, size=size)
-    else:
+    elif kind == "geometric":
         values = rng.geometric(0.2, size=size)
-    a = int(values.min())
+    else:
+        # gaps of exactly 2 between distinct values
+        values = 2 * rng.integers(4, 30, size=size) + 1
+    # the cutoff at or below the minimum: a sample with no datum at its
+    # cutoff, as most replicas at large cutoffs are
+    a = max(1, int(values.min()) - data.draw(st.integers(min_value=0, max_value=7)))
     s = IntegerSample(values)
     beta_model = data.draw(st.floats(min_value=0.3, max_value=3.5))
     m = PowerLawModel(a, beta_model)

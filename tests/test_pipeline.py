@@ -77,7 +77,7 @@ def test_replica_distance_uses_own_refit():
 
 
 # The draw chunk (proposals), the reduce unit (variates) and the block
-# budget (KS points) at one row, one proposal and one point a pass, and
+# budget (distinct values) at one row, one proposal and one value a pass, and
 # past any ensemble.
 PASS_SIZES = (1, 2**62)
 
@@ -85,7 +85,7 @@ PASS_SIZES = (1, 2**62)
 def with_pass_sizes(monkeypatch, size):
     monkeypatch.setattr(dplfit.sampling, "_CHUNK", size)
     monkeypatch.setattr(dplfit.sampling, "_UNIT", size)
-    monkeypatch.setattr(pipeline, "_BLOCK_POINTS", size)
+    monkeypatch.setattr(pipeline, "_BLOCK_VALUES", size)
 
 
 def test_replicas_do_not_depend_on_pass_sizes(monkeypatch):
@@ -101,7 +101,7 @@ def test_replicas_do_not_depend_on_pass_sizes(monkeypatch):
 def test_fit_at_a_stays_within_its_memory_budget():
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 5.5 MB
+    # at n_sim = 1000 peaks at about 3.1 MB
     data = power_law_data(1.13, 350, seed=5, a=23)
     tracemalloc.start()
     try:
@@ -310,3 +310,20 @@ def test_pvalue_sigma_consistency_across_scan():
     for fit in result.fits:
         p = fit.p
         assert abs(p.sigma_p - np.sqrt(p.p * (1 - p.p) / p.n_sim)) < 1e-15
+
+
+def test_fit_hashes_each_key_block_once(monkeypatch):
+    # blocks of a few hundred replicas straddle the 256-id key blocks, and
+    # each of the four key blocks of 1000 first attempts is hashed once
+    keys = []
+
+    class Recording(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            keys.append(self.spawn_key)
+
+    data = power_law_data(1.13, 350, seed=5, a=23)
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    fit = fit_at_a(data, 23, 1000, seed=3)
+    assert fit.regenerated == 0
+    assert keys == [(0,), (1,), (2,), (3,)]

@@ -18,6 +18,7 @@ from dplfit.sampling import (
     acceptance_ratio,
     sample_groups,
     sample_n,
+    stream_starts,
 )
 
 from oracles import (
@@ -298,7 +299,7 @@ def test_stream_key_is_seed_sequence_words():
 def test_sample_groups_reject_bad_seeds():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            next(sample_groups(SamplerParams(1, 1.0), 10, seed, [0]))
+            next(sample_groups(SamplerParams(1, 1.0), 10, stream_starts(seed, [0])))
 
 
 @pytest.mark.parametrize("count,group", [(20, 32), (700, 7), (3000, 1), (6000, 1)])
@@ -314,7 +315,7 @@ def test_group_rows_equal_one_at_a_time(monkeypatch, seed, count, group):
     monkeypatch.setattr(dplfit.sampling, "_CHUNK",
                         max(1, group // 3) * dplfit.sampling._batch_size(params, count))
     streams = STREAMS + tuple(range(300, 300 + 2 * group))
-    groups = list(sample_groups(params, count, seed, streams))
+    groups = list(sample_groups(params, count, stream_starts(seed, streams)))
     sizes = [len(streams[lo:lo + group]) for lo in range(0, len(streams), group)]
     assert [rows.shape for rows in groups] == [(size, count) for size in sizes]
     rows = np.concatenate(groups)
@@ -337,7 +338,7 @@ def test_short_rows_continue_on_their_own_streams(monkeypatch, chunk):
     counts = (5, 40, 300)
 
     def draw(count):
-        return np.concatenate(list(sample_groups(params, count, 9, STREAMS)))
+        return np.concatenate(list(sample_groups(params, count, stream_starts(9, STREAMS))))
 
     real = [draw(count) for count in counts]
     monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda params, need: need // 3 + 2)
