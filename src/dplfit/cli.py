@@ -13,6 +13,7 @@ corpus   : free text; the data are the frequencies of each distinct
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -345,6 +346,28 @@ def _cmd_tokenize(args):
     return 0
 
 
+def _int_at_least(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type if int() fails
+    return parse
+
+
+def _float_where(ok, requirement):
+    """An argparse type: a float for which ``ok`` holds."""
+    def parse(text):
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dplfit",
@@ -356,29 +379,33 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit at one fixed lower cutoff")
     _add_input_args(p_fit)
-    p_fit.add_argument("--a", type=int, required=True, help="lower cutoff")
-    p_fit.add_argument("--nsim", type=int, default=1000, help="simulated replicas")
-    p_fit.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_fit.add_argument("--a", type=_int_at_least(1), required=True, help="lower cutoff")
+    p_fit.add_argument("--nsim", type=_int_at_least(1), default=1000,
+                       help="simulated replicas")
+    p_fit.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     p_fit.add_argument("--out", help="write the machine-readable JSON report here")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_scan = sub.add_parser("scan", help="scan cutoffs and select a*")
     _add_input_args(p_scan)
-    p_scan.add_argument("--nsim", type=int, default=1000, help="replicas per cutoff")
-    p_scan.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_scan.add_argument("--pthresh", type=float, default=0.20,
+    p_scan.add_argument("--nsim", type=_int_at_least(100), default=1000,
+                        help="replicas per cutoff (at least 100)")
+    p_scan.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
+    p_scan.add_argument("--pthresh", type=_float_where(lambda p: 0 < p < 1, "in (0, 1)"),
+                        default=0.20,
                         help="selection threshold on the p-value (default 0.20)")
-    p_scan.add_argument("--min-tail", type=int, default=10,
+    p_scan.add_argument("--min-tail", type=_int_at_least(2), default=10,
                         help="stop scanning once fewer data remain (default 10)")
-    p_scan.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes over cutoffs")
+    p_scan.add_argument("--workers", type=_int_at_least(1), default=1,
+                        help="worker processes the cutoffs are spread over (default 1)")
     p_scan.add_argument("--out", help="write the machine-readable JSON report here")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_curves = sub.add_parser("curves", help="emit empirical vs fitted curves (TSV)")
     _add_input_args(p_curves)
-    p_curves.add_argument("--a", type=int, required=True, help="lower cutoff")
-    p_curves.add_argument("--beta", type=float,
+    p_curves.add_argument("--a", type=_int_at_least(1), required=True, help="lower cutoff")
+    p_curves.add_argument("--beta", type=_float_where(lambda b: 0 < b < math.inf,
+                                                   "positive and finite"),
                           help="exponent; fitted by maximum likelihood if omitted")
     p_curves.add_argument("--out", required=True, help="destination TSV file")
     p_curves.set_defaults(func=_cmd_curves)

@@ -7,16 +7,25 @@ per block.  A block's replicas are drawn in units of about
 ``sampling._UNIT`` variates (``sampling.sample_groups``), and each unit's
 rows are sorted and reduced to ln G and their tables of distinct values
 and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
-memory budgets: they bound what a fit holds at once and change no result.
+memory budgets: they bound what one thread of a fit holds at once and
+change no result.
+
+A fit large enough to give every thread at least one reduce unit runs its
+blocks on a thread pool, one thread a usable CPU: the sampler's fills,
+the ufunc passes and the sorts release the GIL.  A scan spreads its
+cutoffs over worker processes (``ScanConfig.workers``) instead, and a fit
+in a worker process runs on one thread.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from . import sampling
 from .distribution import PowerLawModel, at_cutoff, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
@@ -59,7 +68,8 @@ class ScanConfig:
     minimum up, for as long as the tail keeps at least ``min_tail``
     observations.  Each replica gets its own RNG substream derived from
     (seed, a, replica index), so growing n_sim extends the ensemble
-    without reshuffling it, and workers do not affect results.
+    without reshuffling it, and the ``workers`` processes that the
+    cutoffs are spread over do not affect results.
     """
 
     a_values: tuple = None
@@ -76,6 +86,8 @@ class ScanConfig:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
         if self.min_tail < 2:
             raise ValueError("min_tail must be >= 2")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.a_values is not None:
             a_values = tuple(int(a) for a in self.a_values)
             if any(x >= y for x, y in zip(a_values, a_values[1:])):
@@ -98,6 +110,31 @@ def _seed_for_cutoff(seed, a):
     """A 64-bit seed for the cutoff's replica ensemble, derived by hashing."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(np.uint32(0xA5CAD), a))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threads(n_sim, n_a):
+    """Threads one fit's replica blocks run on: at most one a usable CPU
+    and one a replica, and no more than give each thread a whole reduce
+    unit of ``sampling._UNIT`` variates, since below that the work is
+    short numpy calls that hold the GIL.  A fit in a worker process runs
+    on one thread, because its pool already spreads the work over the
+    CPUs."""
+    threads = min(n_sim, n_sim * n_a // sampling._UNIT)
+    if threads < 2:
+        return 1
+    import multiprocessing  # not needed by fits below the gate
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return min(threads, _usable_cpus())
 
 
 def _tabulate(n_a, rows):
@@ -171,15 +208,21 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
     proposal mass.  Replicas are drawn and tabulated in units of about
     ``sampling._UNIT`` variates (``sampling.sample_groups``), and refit
-    and measured in blocks of about ``_BLOCK_VALUES`` distinct values: the
-    refits of a block's attempt are one ``solve_betas`` call and its KS
-    distances one ``ks_distances`` call, which reads the replicas' tables
-    of distinct values as they are.  First attempts take their start
-    states from one ``stream_starts`` generator, so each 256-id key block
-    is hashed once per fit.  Each replica's result depends only on
-    (seed, i, attempt), not on the units, the blocks or other replicas'
+    and measured in blocks of at most ``_BLOCK_VALUES`` distinct values:
+    the refits of a block's attempt are one ``solve_betas`` call and its
+    KS distances one ``ks_distances`` call, which reads the replicas'
+    tables of distinct values as they are.  The blocks are of equal size.
+    When ``_threads`` gives T > 1 they are a multiple of T and run on a
+    pool of T threads made for this call, so that the threads finish
+    together; each thread holds one block at a time.  The calling thread
+    takes the first attempts' start states, in order, from one
+    ``stream_starts`` generator, so each 256-id key block is hashed once
+    per fit.  Each replica's result depends only on (seed, i, attempt),
+    not on the units, the blocks, the threads or other replicas'
     regenerations.
     """
+    if n_sim < 1:
+        raise ValueError(f"n_sim must be >= 1, got {n_sim}")
     tail = sample.truncated(a)
     stat = sufficient_stat(tail)
     mle = fit_beta(stat, a, mle_config)
@@ -189,25 +232,44 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     params = SamplerParams(a, mle.beta_emp)
     n_a = tail.size
     d_sims = np.empty(n_sim)
-    regenerated = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
-    first_starts = stream_starts(seed, range(n_sim))
-    for first in range(0, n_sim, block):
-        todo = np.arange(first, min(first + block, n_sim))
-        starts = list(islice(first_starts, todo.size))
-        attempt = 0
+
+    def run(todo, starts):
+        """Fill the d_sims slots of replicas ``todo``, whose first attempts
+        start at ``starts``; return how many regenerations that took."""
+        regenerated = attempt = 0
         while todo.size:
             solved, d = _attempt(params, n_a, starts, mle_config)
             d_sims[todo[solved]] = d
             todo = todo[~solved]
             regenerated += todo.size
             if regenerated > retry_budget:
-                raise ConvergenceError(
-                    f"more than {retry_budget} replica refits failed at a={a}"
-                )
+                break
             attempt += 1
             starts = list(stream_starts(seed, replica_stream(todo, attempt)))
+        return regenerated
+
+    threads = _threads(n_sim, n_a)
+    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
+    n_blocks = min(n_sim, threads * -(-n_sim // (threads * block)))
+    first_starts = stream_starts(seed, range(n_sim))
+    blocks = ((todo, list(islice(first_starts, todo.size)))
+              for todo in np.array_split(np.arange(n_sim), n_blocks))
+    if threads == 1:
+        regenerated = sum(run(*b) for b in blocks)
+    else:
+        # at most one block a thread is submitted ahead, so only the
+        # blocks in flight hold their start states
+        regenerated = 0
+        with ThreadPoolExecutor(threads) as pool:
+            running = deque()
+            for b in blocks:
+                if len(running) == threads:
+                    regenerated += running.popleft().result()
+                running.append(pool.submit(run, *b))
+            regenerated += sum(f.result() for f in running)
+    if regenerated > retry_budget:
+        raise ConvergenceError(f"more than {retry_budget} replica refits failed at a={a}")
 
     return FitAtA(
         a=int(a),
@@ -264,7 +326,9 @@ def scan(sample, config=ScanConfig(), mle_config=DEFAULT_MLE_CONFIG):
     skipped = []
     tasks = [(sample, a, config.n_sim, config.seed, mle_config) for a in a_values]
     if config.workers > 1 and len(tasks) > 1:
-        workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
+
+        workers = min(config.workers, len(tasks), _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_fit_one_guarded, tasks, chunksize=1)
             for a, outcome in zip(a_values, results):

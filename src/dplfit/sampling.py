@@ -160,7 +160,11 @@ class SamplerParams:
 
 def _proposals_from_uniforms(params, w):
     """Map uniforms on (0, 1] to proposal values; NaN-free, inf for overflow."""
-    return params.a * np.asarray(w) ** (-1.0 / params.beta)
+    # below w = (a / 1.8e308)^beta the power or the product overflows to
+    # inf, which ``_propose`` redraws as at or above the 2^63 cap; the
+    # errstate is set here because it holds only for the calling thread
+    with np.errstate(over="ignore"):
+        return params.a * np.asarray(w) ** (-1.0 / params.beta)
 
 
 def accept_test(params, y, v):

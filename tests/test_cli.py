@@ -486,6 +486,36 @@ def test_cli_cutoff_above_maximum(tmp_path, capsys):
     assert "no values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "--a", "1", "--nsim", "0"],
+    ["fit", "--a", "1", "--nsim", "-5"],
+    ["fit", "--a", "0"],
+    ["fit", "--a", "1", "--seed", "-3"],
+    ["curves", "--a", "0"],
+    ["curves", "--a", "1", "--beta", "-1"],
+    ["curves", "--a", "1", "--beta", "nan"],
+    ["scan", "--nsim", "50"],
+    ["scan", "--seed", "-3"],
+    ["scan", "--pthresh", "1.5"],
+    ["scan", "--min-tail", "1"],
+    ["scan", "--workers", "0"],
+    ["scan", "--workers", "-1"],
+], ids=" ".join)
+def test_cli_rejects_option_values_out_of_range(tmp_path, capsys, args):
+    # each is a usage error before any work: a one-line message, no traceback
+    f = make_power_law_file(tmp_path, n=50)
+    command, *options = args
+    if command == "curves":
+        options += ["--out", str(tmp_path / "curves.tsv")]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(f), *options])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"dplfit {command}: error: argument {args[-2]}: ")
+    assert not (tmp_path / "curves.tsv").exists()
+
+
 def test_parser_has_documented_surface():
     parser = build_parser()
     text = parser.format_help()

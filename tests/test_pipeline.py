@@ -1,4 +1,7 @@
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import dplfit.sampling
 from dplfit import pipeline
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
+from dplfit.errors import ConvergenceError, TailTooLargeError
 from dplfit.ks import ks_statistic
 from dplfit.mle import DEFAULT_MLE_CONFIG, MleConfig, fit_beta
 from dplfit.pipeline import (
@@ -15,7 +19,13 @@ from dplfit.pipeline import (
     fit_at_a,
     scan,
 )
-from dplfit.sampling import RngStream, SamplerParams, sample_n
+from dplfit.sampling import (
+    RngStream,
+    SamplerParams,
+    replica_stream,
+    sample_n,
+    stream_starts,
+)
 
 from oracles import expanded, replica_one_at_a_time
 
@@ -110,6 +120,100 @@ def test_fit_at_a_stays_within_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def force_threads(monkeypatch, threads, unit=64):
+    # any fit of at least `threads` reduce units of `unit` variates splits
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
+
+
+def test_thread_count_gate(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    # one thread a whole 2^18-variate reduce unit, one a replica, one a CPU
+    assert pipeline._threads(100, 300000) == 4
+    assert pipeline._threads(100, 7864) == 2
+    assert pipeline._threads(100, 5242) == 1
+    assert pipeline._threads(100, 1000) == 1
+    assert pipeline._threads(3, 10**7) == 3
+    assert pipeline._threads(1, 10**7) == 1
+    # a worker process leaves the CPUs to its pool
+    with ProcessPoolExecutor(1) as pool:
+        assert pool.submit(pipeline._threads, 100, 300000).result(timeout=60) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_threads_change_no_result(monkeypatch, threads):
+    data = power_law_data(1.2, 200, seed=31)
+    default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+    # narrow bounds make many replicas regenerate, as in the test above
+    tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
+    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    assert regenerating.regenerated > 10
+    force_threads(monkeypatch, threads)
+    assert pipeline._threads(300, 200) == pipeline._threads(100, 14) == threads
+    # and at the pass sizes of the tests above, but for a reduce unit past
+    # any ensemble, which would keep the fits from splitting
+    for size in (None,) + PASS_SIZES:
+        if size is not None:
+            with_pass_sizes(monkeypatch, size)
+            monkeypatch.setattr(dplfit.sampling, "_UNIT", min(size, 64))
+        assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
+        assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
+                        keep_d_sims=True) == regenerating
+
+
+def test_errors_in_one_block_propagate(monkeypatch):
+    data = power_law_data(1.2, 200, seed=31)
+    force_threads(monkeypatch, 2)
+    # replica 0's start states, one an attempt, mark its block's attempts
+    replica_0 = set(stream_starts(8, [replica_stream(0, k) for k in range(400)]))
+    attempt = pipeline._attempt
+
+    def too_large(params, n_a, starts, mle_config):
+        if replica_0.intersection(starts):
+            raise TailTooLargeError("first block")
+        return attempt(params, n_a, starts, mle_config)
+
+    def never_solved(params, n_a, starts, mle_config):
+        if replica_0.intersection(starts):
+            return np.zeros(len(starts), dtype=bool), np.empty(0)
+        return attempt(params, n_a, starts, mle_config)
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(pipeline, "_attempt", too_large)
+    with pytest.raises(TailTooLargeError, match="first block"):
+        fit_at_a(data, 1, 300, seed=8)
+    # the first block never gets a good attempt: its retries stop at the
+    # retry budget and the fit raises
+    monkeypatch.setattr(pipeline, "_attempt", never_solved)
+    with pytest.raises(ConvergenceError, match="more than 30000"):
+        fit_at_a(data, 1, 300, seed=8)
+    # each fit's pool is shut down with it
+    assert threading.active_count() == threads_before
+
+
+def test_threaded_fit_stays_within_its_memory_budget(monkeypatch):
+    # the reduce and block budgets hold per thread: a 300000-observation
+    # tail peaks at about 4.7 MB a thread
+    data = power_law_data(1.13, 300000, seed=5)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    assert pipeline._threads(20, data.size) == 2
+    tracemalloc.start()
+    try:
+        fit_at_a(data, 1, 20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 5.2 * 2**20
+
+
+def test_fit_at_a_rejects_no_replicas():
+    data = power_law_data(1.2, 200, seed=31)
+    for n_sim in (0, -5):
+        with pytest.raises(ValueError, match="n_sim"):
+            fit_at_a(data, 1, n_sim, seed=8)
 
 
 @pytest.mark.parametrize("beta,n,a,seed", [
@@ -244,6 +348,19 @@ def test_scan_deterministic_and_worker_invariant():
     assert r1 == r3
 
 
+def test_scan_worker_processes_after_threaded_fits(monkeypatch):
+    # both cutoffs are above the gate, so this process runs threaded fits
+    # before the process pool starts its workers, whose fits run on one
+    # thread; a thread pool kept past its fit would hang the workers
+    data = power_law_data(1.3, 20000, seed=22)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
+    tails = [data.truncated(a).size for a in config.a_values]
+    assert all(pipeline._threads(100, n_a) == 2 for n_a in tails)
+    threaded = scan(data, config)
+    assert scan(data, replace(config, workers=2)) == threaded
+
+
 def test_scan_records_skipped_cutoffs():
     data = IntegerSample([2] * 40 + [9])
     config = ScanConfig(a_values=(2, 9, 12), n_sim=100, seed=1)
@@ -302,6 +419,9 @@ def test_scan_config_validation():
         ScanConfig(a_values=(0, 2))
     with pytest.raises(ValueError):
         ScanConfig(min_tail=1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            ScanConfig(workers=workers)
 
 
 def test_pvalue_sigma_consistency_across_scan():
