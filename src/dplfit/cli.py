@@ -13,7 +13,6 @@ corpus   : free text; the data are the frequencies of each distinct
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import stat
@@ -26,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .distribution import IntegerSample, PowerLawModel, sufficient_stat
 from .errors import DplfitError, ParseError
-from .mle import fit_beta
+from .mle import DEFAULT_MLE_CONFIG, fit_beta
 from .pipeline import ScanConfig, _seed_for_cutoff, fit_at_a, scan
 from .sampling import RNG_ALGORITHM
 
@@ -404,8 +403,9 @@ def build_parser():
     p_curves = sub.add_parser("curves", help="emit empirical vs fitted curves (TSV)")
     _add_input_args(p_curves)
     p_curves.add_argument("--a", type=_int_at_least(1), required=True, help="lower cutoff")
-    p_curves.add_argument("--beta", type=_float_where(lambda b: 0 < b < math.inf,
-                                                   "positive and finite"),
+    low, high = DEFAULT_MLE_CONFIG.beta_bounds  # the exponents a fit can return
+    p_curves.add_argument("--beta", type=_float_where(lambda b: low <= b <= high,
+                                                   f"in [{low:g}, {high:g}]"),
                           help="exponent; fitted by maximum likelihood if omitted")
     p_curves.add_argument("--out", required=True, help="destination TSV file")
     p_curves.set_defaults(func=_cmd_curves)

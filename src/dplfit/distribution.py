@@ -113,8 +113,8 @@ class PowerLawModel:
     def __post_init__(self):
         if self.a < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.a}")
-        if not self.beta > 0:
-            raise ValueError(f"exponent must be positive, got {self.beta}")
+        if not self.beta + 1.0 > 1.0:  # beta + 1.0 == 1.0 would hit zeta's pole
+            raise ValueError(f"exponent must be positive with beta + 1 > 1, got {self.beta}")
         object.__setattr__(self, "scaled_norm", float(scaled_zeta(self.beta + 1.0, self.a)))
 
     def _power(self, n):

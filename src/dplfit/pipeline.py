@@ -12,16 +12,17 @@ change no result.
 
 A fit large enough to give every thread at least one reduce unit runs its
 blocks on a thread pool, one thread a usable CPU: the sampler's fills,
-the ufunc passes and the sorts release the GIL.  A scan spreads its
-cutoffs over worker processes (``ScanConfig.workers``) instead, and a fit
-in a worker process runs on one thread.
+the ufunc passes and the sorts release the GIL.  The threads return each
+block's results, and only the calling thread writes them.  A scan
+spreads its cutoffs over worker processes (``ScanConfig.workers``)
+instead, and a fit in a worker process runs on one thread.
 """
 
+import concurrent.futures
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -137,6 +138,18 @@ def _threads(n_sim, n_a):
     return min(threads, _usable_cpus())
 
 
+@contextmanager
+def _mapping(pool, workers):
+    """Yield the builtin ``map`` for at most one worker, else the ``map`` of
+    ``pool(workers)``, which yields in input order and is shut down, its
+    workers joined, when the ``with`` exits."""
+    if workers < 2:
+        yield map
+        return
+    with pool(workers) as executor:
+        yield executor.map
+
+
 def _tabulate(n_a, rows):
     """Sort ``rows`` in place and return each row's ln G and all their
     distinct values v, N_v and distinct-value counts, flat.
@@ -211,15 +224,18 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     and measured in blocks of at most ``_BLOCK_VALUES`` distinct values:
     the refits of a block's attempt are one ``solve_betas`` call and its
     KS distances one ``ks_distances`` call, which reads the replicas'
-    tables of distinct values as they are.  The blocks are of equal size.
-    When ``_threads`` gives T > 1 they are a multiple of T and run on a
-    pool of T threads made for this call, so that the threads finish
-    together; each thread holds one block at a time.  The calling thread
-    takes the first attempts' start states, in order, from one
-    ``stream_starts`` generator, so each 256-id key block is hashed once
-    per fit.  Each replica's result depends only on (seed, i, attempt),
-    not on the units, the blocks, the threads or other replicas'
-    regenerations.
+    tables of distinct values as they are.  The fit is one loop of
+    attempts: each splits the replicas still to solve (at first all of
+    them) into equal blocks, a multiple of the T threads that ``_threads``
+    gives so that the threads finish together, and runs them on a pool of
+    T threads made for this call when T > 1.  The blocks return which
+    replicas solved and their distances, and only the calling thread
+    writes ``d_sims``; the unsolved make the next attempt, and more than
+    100 n_sim regenerations in all raise ``ConvergenceError``.  An
+    attempt's start states come in order from one ``stream_starts``
+    generator, which hashes each 256-id key block once.  Each replica's
+    result depends only on (seed, i, attempt), not on the units, the
+    blocks, the threads or other replicas' regenerations.
     """
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
@@ -231,45 +247,28 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
 
     params = SamplerParams(a, mle.beta_emp)
     n_a = tail.size
+    threads = _threads(n_sim, n_a)
+    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
     d_sims = np.empty(n_sim)
+    todo = np.arange(n_sim)
+    regenerated = attempt = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-
-    def run(todo, starts):
-        """Fill the d_sims slots of replicas ``todo``, whose first attempts
-        start at ``starts``; return how many regenerations that took."""
-        regenerated = attempt = 0
+    with _mapping(concurrent.futures.ThreadPoolExecutor, threads) as mapped:
         while todo.size:
-            solved, d = _attempt(params, n_a, starts, mle_config)
-            d_sims[todo[solved]] = d
+            n_blocks = min(todo.size, threads * -(-todo.size // (threads * block)))
+            starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
+            blocks = [list(islice(starts, ids.size))
+                      for ids in np.array_split(todo, n_blocks)]
+            outcomes = list(mapped(_attempt, repeat(params), repeat(n_a), blocks,
+                                   repeat(mle_config)))
+            solved = np.concatenate([s for s, _ in outcomes])
+            d_sims[todo[solved]] = np.concatenate([d for _, d in outcomes])
             todo = todo[~solved]
             regenerated += todo.size
             if regenerated > retry_budget:
-                break
+                raise ConvergenceError(
+                    f"more than {retry_budget} replica refits failed at a={a}")
             attempt += 1
-            starts = list(stream_starts(seed, replica_stream(todo, attempt)))
-        return regenerated
-
-    threads = _threads(n_sim, n_a)
-    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
-    n_blocks = min(n_sim, threads * -(-n_sim // (threads * block)))
-    first_starts = stream_starts(seed, range(n_sim))
-    blocks = ((todo, list(islice(first_starts, todo.size)))
-              for todo in np.array_split(np.arange(n_sim), n_blocks))
-    if threads == 1:
-        regenerated = sum(run(*b) for b in blocks)
-    else:
-        # at most one block a thread is submitted ahead, so only the
-        # blocks in flight hold their start states
-        regenerated = 0
-        with ThreadPoolExecutor(threads) as pool:
-            running = deque()
-            for b in blocks:
-                if len(running) == threads:
-                    regenerated += running.popleft().result()
-                running.append(pool.submit(run, *b))
-            regenerated += sum(f.result() for f in running)
-    if regenerated > retry_budget:
-        raise ConvergenceError(f"more than {retry_budget} replica refits failed at a={a}")
 
     return FitAtA(
         a=int(a),
@@ -292,28 +291,25 @@ def default_cutoffs(sample, min_tail):
     return [int(u) for u in uniq[keep]]
 
 
-def _fit_one_guarded(args):
-    sample, a, n_sim, seed, mle_config = args
+def _fit_one(task):
+    """One cutoff of a scan: ``(fit, None)``, or ``(None, reason)`` when the
+    cutoff fails a precondition."""
+    sample, a, n_sim, seed = task
     try:
-        return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a), mle_config)
+        return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a)), None
     except (EmptyTailError, DegenerateDataError, ConvergenceError,
             TailTooLargeError) as err:
-        return (type(err).__name__, str(err))
+        return None, f"{type(err).__name__}: {err}"
 
 
-def _collect(a, outcome, fits, skipped):
-    if isinstance(outcome, FitAtA):
-        fits.append(outcome)
-    else:
-        skipped.append((int(a), f"{outcome[0]}: {outcome[1]}"))
-
-
-def scan(sample, config=ScanConfig(), mle_config=DEFAULT_MLE_CONFIG):
+def scan(sample, config=ScanConfig()):
     """Run fit_at_a over the cutoff grid and select a*.
 
     a* is the smallest tested cutoff whose p-value strictly exceeds
     ``config.p_threshold``; absent when no cutoff qualifies.  Cutoffs
-    failing their preconditions are recorded as skipped, not fatal.
+    failing their preconditions are recorded as skipped, not fatal.  The
+    cutoffs run in this process when only one worker process would: with
+    ``workers`` 1, one cutoff or one usable CPU.
 
     Deterministic for identical (sample, config), including every
     simulated KS distance, regardless of ``workers``.
@@ -324,18 +320,15 @@ def scan(sample, config=ScanConfig(), mle_config=DEFAULT_MLE_CONFIG):
 
     fits = []
     skipped = []
-    tasks = [(sample, a, config.n_sim, config.seed, mle_config) for a in a_values]
-    if config.workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # slow to import
-
-        workers = min(config.workers, len(tasks), _usable_cpus())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_fit_one_guarded, tasks, chunksize=1)
-            for a, outcome in zip(a_values, results):
-                _collect(a, outcome, fits, skipped)
-    else:
-        for a, task in zip(a_values, tasks):
-            _collect(a, _fit_one_guarded(task), fits, skipped)
+    tasks = [(sample, a, config.n_sim, config.seed) for a in a_values]
+    workers = min(config.workers, len(tasks), _usable_cpus())
+    # the process pool's module is slow to import: it is looked up only here
+    with _mapping(lambda n: concurrent.futures.ProcessPoolExecutor(n), workers) as mapped:
+        for a, (fit, reason) in zip(a_values, mapped(_fit_one, tasks)):
+            if fit is None:
+                skipped.append((int(a), reason))
+            else:
+                fits.append(fit)
 
     a_star = beta_star = sigma_star = None
     for fit in fits:

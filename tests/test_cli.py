@@ -494,6 +494,11 @@ def test_cli_cutoff_above_maximum(tmp_path, capsys):
     ["curves", "--a", "0"],
     ["curves", "--a", "1", "--beta", "-1"],
     ["curves", "--a", "1", "--beta", "nan"],
+    ["curves", "--a", "1", "--beta", "1e-17"],
+    ["curves", "--a", "1", "--beta", "1e-5"],
+    ["curves", "--a", "1", "--beta", "60"],
+    ["curves", "--a", "1", "--beta", "1e7"],
+    ["curves", "--a", "1", "--beta", "1e300"],
     ["scan", "--nsim", "50"],
     ["scan", "--seed", "-3"],
     ["scan", "--pthresh", "1.5"],

@@ -148,6 +148,9 @@ def test_model_validation():
         PowerLawModel(1, 0.0)
     with pytest.raises(ValueError):
         PowerLawModel(1, -2.0)
+    # positive, but beta + 1.0 rounds to 1.0
+    with pytest.raises(ValueError, match=r"beta \+ 1 > 1"):
+        PowerLawModel(1, 1e-17)
 
 
 def test_scaled_norm_cached():

@@ -1,4 +1,6 @@
+import concurrent.futures
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -164,6 +166,38 @@ def test_threads_change_no_result(monkeypatch, threads):
                         keep_d_sims=True) == regenerating
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
+    data = power_law_data(1.2, 200, seed=31)
+    tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
+    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    serial = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+    regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    assert regenerating.regenerated > 10
+    # each block sleeps the longer the earlier its first replica, so the
+    # blocks of an attempt finish in reverse order
+    first = {start: i for seed in (8, 21) for k in range(40)
+             for i, start in enumerate(stream_starts(seed, replica_stream(np.arange(300), k)))}
+    finished = []
+    attempt = pipeline._attempt
+
+    def slow_early_blocks(params, n_a, starts, mle_config):
+        i = first[starts[0]]
+        time.sleep(0.002 * (300 - i) / threads)
+        result = attempt(params, n_a, starts, mle_config)
+        finished.append(i)
+        return result
+
+    force_threads(monkeypatch, threads)
+    monkeypatch.setattr(pipeline, "_attempt", slow_early_blocks)
+    assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == serial
+    assert finished[:threads] == sorted(finished[:threads], reverse=True)
+    finished.clear()
+    assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
+                    keep_d_sims=True) == regenerating
+    assert finished != sorted(finished)
+
+
 def test_errors_in_one_block_propagate(monkeypatch):
     data = power_law_data(1.2, 200, seed=31)
     force_threads(monkeypatch, 2)
@@ -176,17 +210,20 @@ def test_errors_in_one_block_propagate(monkeypatch):
             raise TailTooLargeError("first block")
         return attempt(params, n_a, starts, mle_config)
 
+    # every third replica fails at each of its attempts: the 100 of them
+    # regenerate 100 times an attempt and pass the budget of 100 n_sim =
+    # 30000 at attempt 300
+    stuck = {start for k in range(301)
+             for start in stream_starts(8, replica_stream(np.arange(0, 300, 3), k))}
+
     def never_solved(params, n_a, starts, mle_config):
-        if replica_0.intersection(starts):
-            return np.zeros(len(starts), dtype=bool), np.empty(0)
-        return attempt(params, n_a, starts, mle_config)
+        solved = np.array([start not in stuck for start in starts])
+        return solved, np.zeros(np.count_nonzero(solved))
 
     threads_before = threading.active_count()
     monkeypatch.setattr(pipeline, "_attempt", too_large)
     with pytest.raises(TailTooLargeError, match="first block"):
         fit_at_a(data, 1, 300, seed=8)
-    # the first block never gets a good attempt: its retries stop at the
-    # retry budget and the fit raises
     monkeypatch.setattr(pipeline, "_attempt", never_solved)
     with pytest.raises(ConvergenceError, match="more than 30000"):
         fit_at_a(data, 1, 300, seed=8)
@@ -359,6 +396,18 @@ def test_scan_worker_processes_after_threaded_fits(monkeypatch):
     assert all(pipeline._threads(100, n_a) == 2 for n_a in tails)
     threaded = scan(data, config)
     assert scan(data, replace(config, workers=2)) == threaded
+
+
+def test_scan_on_one_cpu_starts_no_process(monkeypatch):
+    def no_processes(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    data = power_law_data(1.3, 1200, seed=22)
+    config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
+    serial = scan(data, config)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
+    assert scan(data, replace(config, workers=2)) == serial
 
 
 def test_scan_records_skipped_cutoffs():
