@@ -19,7 +19,7 @@ import numpy as np
 
 from .distribution import check_identifiable, sigma_beta
 from .errors import ConvergenceError
-from .zeta import scaled_zeta
+from .zeta import MAX_HEAD_TERMS, em_start, scaled_zeta
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,11 @@ class MleConfig:
             raise ValueError("beta_tol must be positive")
         if not lo <= self.beta_init <= hi:
             raise ValueError("beta_init must lie inside beta_bounds")
+        # the head count at a = 1 exceeds s, so the first test only spares
+        # em_start an infinite or overflowing bound
+        if hi > MAX_HEAD_TERMS or em_start(hi + 1.0) - 1.0 > MAX_HEAD_TERMS:
+            raise ValueError(f"upper bound {hi!r} is past the largest exponent the zeta "
+                             f"kernel evaluates ({MAX_HEAD_TERMS} head terms at a = 1)")
 
 
 DEFAULT_MLE_CONFIG = MleConfig()

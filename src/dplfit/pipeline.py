@@ -7,20 +7,19 @@ per block.  A block's replicas are drawn in units of about
 ``sampling._UNIT`` variates (``sampling.sample_groups``), and each unit's
 rows are sorted and reduced to ln G and their tables of distinct values
 and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
-memory budgets: they bound what one thread of a fit holds at once and
+memory budgets: they bound what one process of a fit holds at once and
 change no result.
 
-A fit large enough to give every thread at least one reduce unit runs its
-blocks on a thread pool, one thread a usable CPU: the sampler's fills,
-the ufunc passes and the sorts release the GIL.  The threads return each
-block's results, and only the calling thread writes them.  A scan
-spreads its cutoffs over worker processes (``ScanConfig.workers``)
-instead, and a fit in a worker process runs on one thread.
+A fit's blocks can run on processes forked from the calling process
+(``_processes``): they return each block's results, and only the calling
+process writes them.  ``scan`` and ``fit_at_a`` say who forks and when; a
+worker process forks nothing, and where ``fork`` is unavailable
+everything runs in the calling process.
 """
 
 import concurrent.futures
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -121,33 +120,35 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _threads(n_sim, n_a):
-    """Threads one fit's replica blocks run on: at most one a usable CPU
-    and one a replica, and no more than give each thread a whole reduce
-    unit of ``sampling._UNIT`` variates, since below that the work is
-    short numpy calls that hold the GIL.  A fit in a worker process runs
-    on one thread, because its pool already spreads the work over the
-    CPUs."""
-    threads = min(n_sim, n_sim * n_a // sampling._UNIT)
-    if threads < 2:
-        return 1
-    import multiprocessing  # not needed by fits below the gate
-
-    if multiprocessing.parent_process() is not None:
-        return 1
-    return min(threads, _usable_cpus())
+def _fit_workers(n_sim, n_a):
+    """Processes a fit on its own forks for its replica blocks: at most one
+    a usable CPU and one a replica, and no more than give each process a
+    whole reduce unit of ``sampling._UNIT`` variates, since a smaller fit
+    takes less time than the fork."""
+    workers = min(n_sim, n_sim * n_a // sampling._UNIT)
+    return 1 if workers < 2 else min(workers, _usable_cpus())
 
 
 @contextmanager
-def _mapping(pool, workers):
-    """Yield the builtin ``map`` for at most one worker, else the ``map`` of
-    ``pool(workers)``, which yields in input order and is shut down, its
-    workers joined, when the ``with`` exits."""
-    if workers < 2:
-        yield map
-        return
-    with pool(workers) as executor:
-        yield executor.map
+def _processes(workers):
+    """Yield ``(map, P)``: the ``map`` of a pool of P = ``workers`` processes
+    forked from this one, which yields in input order and is shut down, its
+    processes joined, when the ``with`` exits.  For fewer than two workers,
+    in a worker process (whose own pool already spreads the work over the
+    CPUs) or where ``fork`` is unavailable, yield the builtin ``map`` and
+    P = 1.  The processes are forked, not spawned: a spawned process
+    imports numpy and dplfit afresh, and a pool of two takes about 0.35 s
+    to spawn against 12 ms to fork (2 vCPUs)."""
+    if workers > 1:
+        import multiprocessing  # slow to import: only a pool needs it
+
+        if (multiprocessing.parent_process() is None
+                and "fork" in multiprocessing.get_all_start_methods()):
+            context = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+                yield pool.map, workers
+            return
+    yield map, 1
 
 
 def _tabulate(n_a, rows):
@@ -226,17 +227,26 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     KS distances one ``ks_distances`` call, which reads the replicas'
     tables of distinct values as they are.  The fit is one loop of
     attempts: each splits the replicas still to solve (at first all of
-    them) into equal blocks, a multiple of the T threads that ``_threads``
-    gives so that the threads finish together, and runs them on a pool of
-    T threads made for this call when T > 1.  The blocks return which
-    replicas solved and their distances, and only the calling thread
-    writes ``d_sims``; the unsolved make the next attempt, and more than
-    100 n_sim regenerations in all raise ``ConvergenceError``.  An
-    attempt's start states come in order from one ``stream_starts``
-    generator, which hashes each 256-id key block once.  Each replica's
-    result depends only on (seed, i, attempt), not on the units, the
-    blocks, the threads or other replicas' regenerations.
+    them) into equal blocks, a multiple of the P processes they run on so
+    that the processes finish together.  P is what ``_fit_workers``
+    gives; at P > 1 this call forks a pool of P processes and shuts it
+    down before it returns, and at P = 1 the blocks run in this process.
+    The blocks return which replicas solved and their distances, and only
+    the calling process writes ``d_sims``; the unsolved make the next
+    attempt, and more than 100 n_sim regenerations in all raise
+    ``ConvergenceError``.  An attempt's start states come in order from
+    one ``stream_starts`` generator, which hashes each 256-id key block
+    once.  Each replica's result depends only on (seed, i, attempt), not
+    on the units, the blocks, the processes or other replicas'
+    regenerations.
     """
+    return _fit(sample, a, n_sim, seed, mle_config, keep_d_sims, None)
+
+
+def _fit(sample, a, n_sim, seed, mle_config, keep_d_sims, pool):
+    """``fit_at_a``, its replica blocks mapped over ``pool``, a ``(map, P)``
+    pair from ``_processes``; None forks a pool for this fit alone when
+    ``_fit_workers`` gives P > 1."""
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
     tail = sample.truncated(a)
@@ -247,18 +257,20 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
 
     params = SamplerParams(a, mle.beta_emp)
     n_a = tail.size
-    threads = _threads(n_sim, n_a)
     block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
     d_sims = np.empty(n_sim)
     todo = np.arange(n_sim)
     regenerated = attempt = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    with _mapping(concurrent.futures.ThreadPoolExecutor, threads) as mapped:
+    pool = _processes(_fit_workers(n_sim, n_a)) if pool is None else nullcontext(pool)
+    with pool as (mapped, workers):
         while todo.size:
-            n_blocks = min(todo.size, threads * -(-todo.size // (threads * block)))
+            n_blocks = min(todo.size, workers * -(-todo.size // (workers * block)))
             starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
-            blocks = [list(islice(starts, ids.size))
-                      for ids in np.array_split(todo, n_blocks)]
+            # a generator, so that a pool starts on a block while the next
+            # one's start states are computed
+            blocks = (list(islice(starts, ids.size))
+                      for ids in np.array_split(todo, n_blocks))
             outcomes = list(mapped(_attempt, repeat(params), repeat(n_a), blocks,
                                    repeat(mle_config)))
             solved = np.concatenate([s for s, _ in outcomes])
@@ -291,12 +303,14 @@ def default_cutoffs(sample, min_tail):
     return [int(u) for u in uniq[keep]]
 
 
-def _fit_one(task):
-    """One cutoff of a scan: ``(fit, None)``, or ``(None, reason)`` when the
-    cutoff fails a precondition."""
+def _fit_one(task, pool):
+    """One cutoff of a scan, its blocks mapped over ``pool`` (see ``_fit``):
+    ``(fit, None)``, or ``(None, reason)`` when the cutoff fails a
+    precondition."""
     sample, a, n_sim, seed = task
     try:
-        return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a)), None
+        return _fit(sample, a, n_sim, _seed_for_cutoff(seed, a), DEFAULT_MLE_CONFIG,
+                    False, pool), None
     except (EmptyTailError, DegenerateDataError, ConvergenceError,
             TailTooLargeError) as err:
         return None, f"{type(err).__name__}: {err}"
@@ -307,12 +321,18 @@ def scan(sample, config=ScanConfig()):
 
     a* is the smallest tested cutoff whose p-value strictly exceeds
     ``config.p_threshold``; absent when no cutoff qualifies.  Cutoffs
-    failing their preconditions are recorded as skipped, not fatal.  The
-    cutoffs run in this process when only one worker process would: with
-    ``workers`` 1, one cutoff or one usable CPU.
+    failing their preconditions are recorded as skipped, not fatal.
+
+    The scan forks at most one pool, and shuts it down before it returns.
+    With ``workers`` W >= 2 (at most one a cutoff and one a usable CPU)
+    its W processes run whole cutoffs, each fit inline.  With ``workers``
+    1 and at least two cutoffs it has a process a usable CPU, and every
+    fit maps its replica blocks over it.  On one usable CPU, or where
+    ``fork`` is unavailable, no process is started, and a one-cutoff
+    scan's fit forks as ``fit_at_a`` does.
 
     Deterministic for identical (sample, config), including every
-    simulated KS distance, regardless of ``workers``.
+    simulated KS distance, regardless of ``workers`` and of the CPUs.
     """
     a_values = config.a_values
     if a_values is None:
@@ -321,10 +341,13 @@ def scan(sample, config=ScanConfig()):
     fits = []
     skipped = []
     tasks = [(sample, a, config.n_sim, config.seed) for a in a_values]
-    workers = min(config.workers, len(tasks), _usable_cpus())
-    # the process pool's module is slow to import: it is looked up only here
-    with _mapping(lambda n: concurrent.futures.ProcessPoolExecutor(n), workers) as mapped:
-        for a, (fit, reason) in zip(a_values, mapped(_fit_one, tasks)):
+    cpus = _usable_cpus()
+    workers = min(config.workers, len(tasks), cpus)
+    shared = workers == 1 and len(tasks) > 1  # one pool for every fit's blocks
+    with _processes(cpus if shared else workers) as pool:
+        mapped = pool[0] if workers > 1 else map
+        outcomes = mapped(_fit_one, tasks, repeat(pool if shared else None))
+        for a, (fit, reason) in zip(a_values, outcomes):
             if fit is None:
                 skipped.append((int(a), reason))
             else:

@@ -12,7 +12,10 @@ For real s > 1 the remainder is at most 4 (s)_{2J-1} (2 pi)^-2J N^(1-s-2J),
 computation of the Hurwitz zeta function and its derivatives",
 arXiv:1309.2877, Theorem 1).  Each element takes M = max(0, ceil(N0 - a))
 head terms, N0 = ``em_start(s)``, which keeps that below 2^-53 zeta(s, a);
-a cutoff at or above N0 (about 14 at s = 2.13) needs no head term.
+a cutoff at or above N0 (about 14 at s = 2.13) needs no head term.  N0
+grows as about 1.7 s, and an element that needs more than
+``MAX_HEAD_TERMS`` head terms (s above about 1.9e4 at a = 1) is refused
+with ``ValueError`` rather than summed.
 
 There is one kernel, ``scaled_zeta``.  It takes every term relative to
 a^-s, so it returns Z(s, a) = a^s zeta(s, a), which is of order
@@ -36,6 +39,10 @@ BERNOULLI_EVEN = tuple(
     ]
 )
 CORRECTIONS = len(BERNOULLI_EVEN)
+
+# The most head terms the kernel takes for one element: a loop of this
+# length takes about 0.3 s.
+MAX_HEAD_TERMS = 1 << 15
 
 
 def em_start(s):
@@ -64,18 +71,27 @@ def scaled_zeta(s, a, derivatives=False):
     An element's head count depends on its own (s, a) only, every
     operation is elementwise and the terms are added in a fixed order, so
     an element's value does not depend on the other elements it is
-    evaluated with.  The arguments are not validated.
+    evaluated with.  The arguments are not validated, except that an
+    element needing more than ``MAX_HEAD_TERMS`` head terms raises
+    ``ValueError``.
     """
     shape = np.broadcast_shapes(np.shape(s), np.shape(a))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), shape).ravel()
     a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()
-    m = np.maximum(np.ceil(em_start(s) - a), 0.0)
+    # em_start overflows from s ~ 1e307; from 1e300 up every cutoff below
+    # 2^63 needs more head terms than the cap, so the clamp changes no count
+    # that is used
+    m = np.maximum(np.ceil(em_start(np.minimum(s, 1e300)) - a), 0.0)
+    heads = m.max(initial=0.0)
+    if heads > MAX_HEAD_TERMS:
+        raise ValueError(f"zeta exponent too large: more than {MAX_HEAD_TERMS} "
+                         f"head terms at s = {float(s[np.argmax(m)])!r}")
     z = (m > 0).astype(np.float64)  # the k = 0 head term
     if derivatives:
         z1 = np.zeros(s.size)
         z2 = np.zeros(s.size)
     live = np.flatnonzero(m > 1)
-    for k in range(1, int(m.max(initial=0.0))):
+    for k in range(1, int(heads)):
         live = live[m[live] > k]
         ell = np.log1p(k / a[live])
         t = np.exp(-s[live] * ell)

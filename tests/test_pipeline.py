@@ -1,8 +1,9 @@
 import concurrent.futures
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -110,38 +111,86 @@ def test_replicas_do_not_depend_on_pass_sizes(monkeypatch):
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)``'s tracemalloc peak in this process, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def first_block(data, a, n_sim, seed, workers):
+    """The arguments of a fit's first block of replicas on ``workers``
+    processes, split as ``fit_at_a`` splits them."""
+    tail = data.truncated(a)
+    beta = fit_beta(sufficient_stat(tail), a).beta_emp
+    block = max(1, min(n_sim, pipeline._BLOCK_VALUES // tail.unique_values.size))
+    n_blocks = min(n_sim, workers * -(-n_sim // (workers * block)))
+    ids = np.array_split(np.arange(n_sim), n_blocks)[0]
+    starts = list(stream_starts(seed, replica_stream(ids, 0)))
+    return SamplerParams(a, beta), tail.size, starts, DEFAULT_MLE_CONFIG
+
+
 def test_fit_at_a_stays_within_its_memory_budget():
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 3.1 MB
+    # at n_sim = 1000 peaks at about 3.0 MB inline
     data = power_law_data(1.13, 350, seed=5, a=23)
-    tracemalloc.start()
-    try:
-        fit_at_a(data, 23, 1000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert pipeline._fit_workers(1000, data.truncated(23).size) == 1
+    assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
+    # in a scan its blocks run in the scan's pool; one block of a
+    # two-process pool, 250 replicas, peaks at about 2.9 MB in its process
+    assert traced_peak(pipeline._attempt, *first_block(data, 23, 1000, 3, 2)) <= 8 * 2**20
+    # and the calling process, which holds the start states and the
+    # distances, at about 0.3 MB
+    with pipeline._processes(2) as pool:
+        peak = traced_peak(pipeline._fit, data, 23, 1000, 3, DEFAULT_MLE_CONFIG, False, pool)
+    assert peak <= 2**20
 
 
-def force_threads(monkeypatch, threads, unit=64):
-    # any fit of at least `threads` reduce units of `unit` variates splits
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: threads)
+def force_cpus(monkeypatch, cpus, unit=64):
+    # any fit of at least `cpus` reduce units of `unit` variates splits
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
+
+
+def patch_attempt(monkeypatch, fn):
+    # a pool pickles the function it maps by its name, and the processes it
+    # forks inherit the patch: the name must lead to `fn`
+    fn.__module__, fn.__qualname__ = pipeline.__name__, "_attempt"
+    monkeypatch.setattr(pipeline, "_attempt", fn)
+
+
+def processes_in_a_worker(workers):
+    with pipeline._processes(workers) as (_, size):
+        return size
 
 
 def test_thread_count_gate(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-    # one thread a whole 2^18-variate reduce unit, one a replica, one a CPU
-    assert pipeline._threads(100, 300000) == 4
-    assert pipeline._threads(100, 7864) == 2
-    assert pipeline._threads(100, 5242) == 1
-    assert pipeline._threads(100, 1000) == 1
-    assert pipeline._threads(3, 10**7) == 3
-    assert pipeline._threads(1, 10**7) == 1
-    # a worker process leaves the CPUs to its pool
-    with ProcessPoolExecutor(1) as pool:
-        assert pool.submit(pipeline._threads, 100, 300000).result(timeout=60) == 1
+    # one process a whole 2^18-variate reduce unit, one a replica, one a CPU
+    assert pipeline._fit_workers(100, 300000) == 4
+    assert pipeline._fit_workers(100, 7864) == 2
+    assert pipeline._fit_workers(100, 5242) == 1
+    assert pipeline._fit_workers(100, 1000) == 1
+    assert pipeline._fit_workers(3, 10**7) == 3
+    assert pipeline._fit_workers(1, 10**7) == 1
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        assert pipeline._fit_workers(100, 300000) == cpus
+        assert pipeline._fit_workers(100, 7864) == min(cpus, 2)
+        assert pipeline._fit_workers(100, 5242) == 1
+        assert pipeline._fit_workers(3, 10**7) == cpus
+        assert pipeline._fit_workers(1, 10**7) == 1
+        with pipeline._processes(cpus) as (mapped, size):
+            assert size == cpus
+            # a worker process forks no pool of its own, and at one CPU the
+            # calling process runs the function
+            in_pool = list(mapped(processes_in_a_worker, [2, 3]))
+            assert in_pool == ([2, 3] if cpus == 1 else [1, 1])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -153,8 +202,10 @@ def test_threads_change_no_result(monkeypatch, threads):
     config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
     regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     assert regenerating.regenerated > 10
-    force_threads(monkeypatch, threads)
-    assert pipeline._threads(300, 200) == pipeline._threads(100, 14) == threads
+    scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
+    serial_scan = scan(data, scan_config)
+    force_cpus(monkeypatch, threads)
+    assert pipeline._fit_workers(300, 200) == pipeline._fit_workers(100, 14) == threads
     # and at the pass sizes of the tests above, but for a reduce unit past
     # any ensemble, which would keep the fits from splitting
     for size in (None,) + PASS_SIZES:
@@ -164,6 +215,8 @@ def test_threads_change_no_result(monkeypatch, threads):
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
         assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                         keep_d_sims=True) == regenerating
+        # a scan's fits map their blocks over the scan's one pool
+        assert scan(data, scan_config) == serial_scan
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -175,32 +228,41 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
     regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     assert regenerating.regenerated > 10
     # each block sleeps the longer the earlier its first replica, so the
-    # blocks of an attempt finish in reverse order
+    # blocks of an attempt finish in reverse order; the pool's processes
+    # report the order through a queue
     first = {start: i for seed in (8, 21) for k in range(40)
              for i, start in enumerate(stream_starts(seed, replica_stream(np.arange(300), k)))}
-    finished = []
+    queue = multiprocessing.get_context("fork").SimpleQueue()
     attempt = pipeline._attempt
 
     def slow_early_blocks(params, n_a, starts, mle_config):
         i = first[starts[0]]
         time.sleep(0.002 * (300 - i) / threads)
         result = attempt(params, n_a, starts, mle_config)
-        finished.append(i)
+        queue.put((i, os.getpid()))
         return result
 
-    force_threads(monkeypatch, threads)
-    monkeypatch.setattr(pipeline, "_attempt", slow_early_blocks)
+    def finished():
+        order = []
+        while not queue.empty():
+            order.append(queue.get())
+        assert os.getpid() not in {pid for _, pid in order}
+        return [i for i, _ in order]
+
+    force_cpus(monkeypatch, threads)
+    patch_attempt(monkeypatch, slow_early_blocks)
     assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == serial
-    assert finished[:threads] == sorted(finished[:threads], reverse=True)
-    finished.clear()
+    order = finished()
+    assert order[:threads] == sorted(order[:threads], reverse=True)
     assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                     keep_d_sims=True) == regenerating
-    assert finished != sorted(finished)
+    order = finished()
+    assert order != sorted(order)
 
 
 def test_errors_in_one_block_propagate(monkeypatch):
     data = power_law_data(1.2, 200, seed=31)
-    force_threads(monkeypatch, 2)
+    force_cpus(monkeypatch, 2)
     # replica 0's start states, one an attempt, mark its block's attempts
     replica_0 = set(stream_starts(8, [replica_stream(0, k) for k in range(400)]))
     attempt = pipeline._attempt
@@ -221,29 +283,28 @@ def test_errors_in_one_block_propagate(monkeypatch):
         return solved, np.zeros(np.count_nonzero(solved))
 
     threads_before = threading.active_count()
-    monkeypatch.setattr(pipeline, "_attempt", too_large)
+    patch_attempt(monkeypatch, too_large)
     with pytest.raises(TailTooLargeError, match="first block"):
         fit_at_a(data, 1, 300, seed=8)
-    monkeypatch.setattr(pipeline, "_attempt", never_solved)
+    # each fit's pool is shut down with it, its processes joined
+    assert multiprocessing.active_children() == []
+    patch_attempt(monkeypatch, never_solved)
     with pytest.raises(ConvergenceError, match="more than 30000"):
         fit_at_a(data, 1, 300, seed=8)
-    # each fit's pool is shut down with it
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
 
 
 def test_threaded_fit_stays_within_its_memory_budget(monkeypatch):
-    # the reduce and block budgets hold per thread: a 300000-observation
-    # tail peaks at about 4.7 MB a thread
+    # the reduce and block budgets hold per process: a block of a
+    # 300000-observation tail peaks at about 4.2 MB in its process
     data = power_law_data(1.13, 300000, seed=5)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    assert pipeline._threads(20, data.size) == 2
-    tracemalloc.start()
-    try:
-        fit_at_a(data, 1, 20, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 5.2 * 2**20
+    assert pipeline._fit_workers(20, data.size) == 2
+    assert traced_peak(pipeline._attempt, *first_block(data, 1, 20, 3, 2)) <= 5.2 * 2**20
+    # and the calling process, which runs no block, at about 0.1 MB
+    assert traced_peak(fit_at_a, data, 1, 20, 3) <= 2**20
+    assert multiprocessing.active_children() == []
 
 
 def test_fit_at_a_rejects_no_replicas():
@@ -386,16 +447,53 @@ def test_scan_deterministic_and_worker_invariant():
 
 
 def test_scan_worker_processes_after_threaded_fits(monkeypatch):
-    # both cutoffs are above the gate, so this process runs threaded fits
-    # before the process pool starts its workers, whose fits run on one
-    # thread; a thread pool kept past its fit would hang the workers
+    # both cutoffs are above the gate, so this process first runs a scan
+    # whose fits map their blocks over its pool, then a scan whose worker
+    # processes run the cutoffs and fork nothing; a pool kept past its scan
+    # would be inherited by the workers
     data = power_law_data(1.3, 20000, seed=22)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
     tails = [data.truncated(a).size for a in config.a_values]
-    assert all(pipeline._threads(100, n_a) == 2 for n_a in tails)
+    assert all(pipeline._fit_workers(100, n_a) == 2 for n_a in tails)
     threaded = scan(data, config)
+    # each scan's pool is shut down with it, its processes joined
+    assert multiprocessing.active_children() == []
     assert scan(data, replace(config, workers=2)) == threaded
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_forks_one_pool_for_its_fits(monkeypatch):
+    # with one cutoff process a scan forks one pool of a process a CPU, and
+    # every fit's blocks run there, also the fits below the gate
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    data = power_law_data(1.3, 1200, seed=22)
+    config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
+    expected = scan(data, config)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    queue = multiprocessing.get_context("fork").SimpleQueue()
+    attempt = pipeline._attempt
+
+    def recording_pid(params, n_a, starts, mle_config):
+        queue.put(os.getpid())
+        return attempt(params, n_a, starts, mle_config)
+
+    patch_attempt(monkeypatch, recording_pid)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert all(pipeline._fit_workers(100, data.truncated(a).size) == 1
+               for a in config.a_values)
+    assert scan(data, config) == expected
+    assert pools == [2]
+    pids = []
+    while not queue.empty():
+        pids.append(queue.get())
+    assert len(pids) >= 6 and os.getpid() not in pids
 
 
 def test_scan_on_one_cpu_starts_no_process(monkeypatch):
@@ -408,6 +506,23 @@ def test_scan_on_one_cpu_starts_no_process(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
     assert scan(data, replace(config, workers=2)) == serial
+
+
+def test_without_fork_everything_runs_inline(monkeypatch):
+    def no_processes(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    data = power_law_data(1.3, 20000, seed=22)
+    config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
+    expected_fit = fit_at_a(data, 1, 100, seed=5, keep_d_sims=True)
+    expected = scan(data, config)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    assert pipeline._fit_workers(100, data.size) == 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
+    assert fit_at_a(data, 1, 100, seed=5, keep_d_sims=True) == expected_fit
+    for workers in (1, 2):
+        assert scan(data, replace(config, workers=workers)) == expected
 
 
 def test_scan_records_skipped_cutoffs():

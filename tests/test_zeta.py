@@ -1,12 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dplfit.distribution import PowerLawModel
+from dplfit.mle import MleConfig
 from dplfit.zeta import (
     BERNOULLI_EVEN,
     CORRECTIONS,
+    MAX_HEAD_TERMS,
     em_start,
     hurwitz_zeta,
     scaled_zeta,
@@ -84,6 +88,37 @@ def test_domain_errors():
         hurwitz_zeta(0.5, 1)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 0)
+
+
+def test_head_count_cap_refuses_huge_exponents_at_once():
+    # the head loop runs about 1.7 s times: PowerLawModel(1, 1e7) took 51 s
+    # and 1e300 never returned; past the cap each call fails at once
+    refused = [
+        lambda: hurwitz_zeta(1e300),
+        lambda: hurwitz_zeta(1e308),
+        lambda: hurwitz_zeta(math.inf),
+        lambda: hurwitz_zeta(1e7, np.arange(1, 5)),
+        lambda: scaled_zeta(np.array([2.0, 1e7]), 1),
+        lambda: PowerLawModel(1, 1e7),
+        lambda: PowerLawModel(1, 1e300),
+        lambda: PowerLawModel(2**62, math.inf),
+        lambda: MleConfig(beta_bounds=(1e-4, 1e7)),
+        lambda: MleConfig(beta_bounds=(1e-4, math.inf)),
+        lambda: MleConfig(beta_init=1e300, beta_bounds=(1e-4, 1e301)),
+        lambda: MleConfig(beta_bounds=(1e-4, 1.9e4)),
+    ]
+    for call in refused:
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            call()
+        assert time.perf_counter() - start < 0.25
+    # the cap is on an element's head count, not on s: a cutoff above N0
+    # takes none, and the largest bound MleConfig accepts is summed
+    assert em_start(1.8e4) - 1 < MAX_HEAD_TERMS < em_start(1.9e4) - 1
+    assert scaled_zeta(1e7, 10**8) == pytest.approx(float(scaled_zeta_mpmath(1e7, 10**8)[0]),
+                                                    rel=1e-14)
+    assert MleConfig(beta_bounds=(1e-4, 1.8e4 - 1)).beta_bounds[1] == 1.8e4 - 1
+    assert hurwitz_zeta(1.8e4) == 1.0
 
 
 def test_array_input_matches_scalar():
