@@ -396,10 +396,9 @@ def build_parser():
     p_scan.add_argument("--min-tail", type=_int_at_least(2), default=10,
                         help="stop scanning once fewer data remain (default 10)")
     p_scan.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="processes the cutoffs are spread over, each running "
-                             "whole cutoffs (default 1: the cutoffs run in this "
-                             "process, and each fit's replicas are spread over a "
-                             "forked process per CPU)")
+                        help="forked processes the cutoffs are spread over, each "
+                             "running whole cutoffs (default 1: the scan chooses, "
+                             "one per usable CPU, fewer for a small scan)")
     p_scan.add_argument("--out", help="write the machine-readable JSON report here")
     p_scan.set_defaults(func=_cmd_scan)
 

@@ -10,16 +10,16 @@ and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
 memory budgets: they bound what one process of a fit holds at once and
 change no result.
 
-A fit's blocks can run on processes forked from the calling process
-(``_processes``): they return each block's results, and only the calling
-process writes them.  ``scan`` and ``fit_at_a`` say who forks and when; a
-worker process forks nothing, and where ``fork`` is unavailable
-everything runs in the calling process.
+A scan's cutoffs, or a large fit's replica blocks, can run on processes
+forked from the calling process (``_processes``): they return their
+results, and only the calling process writes them.  ``scan`` and
+``fit_at_a`` say who forks and when; a worker process forks nothing, and
+where ``fork`` is unavailable everything runs in the calling process.
 """
 
 import concurrent.futures
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -68,8 +68,8 @@ class ScanConfig:
     minimum up, for as long as the tail keeps at least ``min_tail``
     observations.  Each replica gets its own RNG substream derived from
     (seed, a, replica index), so growing n_sim extends the ensemble
-    without reshuffling it, and the ``workers`` processes that the
-    cutoffs are spread over do not affect results.
+    without reshuffling it, and the processes that the cutoffs are spread
+    over (``workers``; see ``scan``) do not affect results.
     """
 
     a_values: tuple = None
@@ -120,12 +120,13 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _fit_workers(n_sim, n_a):
-    """Processes a fit on its own forks for its replica blocks: at most one
-    a usable CPU and one a replica, and no more than give each process a
-    whole reduce unit of ``sampling._UNIT`` variates, since a smaller fit
-    takes less time than the fork."""
-    workers = min(n_sim, n_sim * n_a // sampling._UNIT)
+def _workers(jobs, variates):
+    """Processes to fork for ``jobs`` independent jobs that draw
+    ``variates`` variates in all: at most one a usable CPU and one a job,
+    and no more than give each process a whole reduce unit of
+    ``sampling._UNIT`` variates, since less work takes less time than the
+    fork."""
+    workers = min(jobs, variates // sampling._UNIT)
     return 1 if workers < 2 else min(workers, _usable_cpus())
 
 
@@ -228,25 +229,18 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     tables of distinct values as they are.  The fit is one loop of
     attempts: each splits the replicas still to solve (at first all of
     them) into equal blocks, a multiple of the P processes they run on so
-    that the processes finish together.  P is what ``_fit_workers``
-    gives; at P > 1 this call forks a pool of P processes and shuts it
-    down before it returns, and at P = 1 the blocks run in this process.
-    The blocks return which replicas solved and their distances, and only
-    the calling process writes ``d_sims``; the unsolved make the next
-    attempt, and more than 100 n_sim regenerations in all raise
-    ``ConvergenceError``.  An attempt's start states come in order from
-    one ``stream_starts`` generator, which hashes each 256-id key block
-    once.  Each replica's result depends only on (seed, i, attempt), not
-    on the units, the blocks, the processes or other replicas'
-    regenerations.
+    that the processes finish together.  P is what ``_workers`` gives for
+    n_sim jobs of N_a variates each; at P > 1 this call forks a pool of P
+    processes and shuts it down before it returns, and at P = 1, or in a
+    worker process of a scan, the blocks run in this process.  The blocks
+    return which replicas solved and their distances, and only the calling
+    process writes ``d_sims``; the unsolved make the next attempt, and
+    more than 100 n_sim regenerations in all raise ``ConvergenceError``.
+    An attempt's start states come in order from one ``stream_starts``
+    generator, which hashes each 256-id key block once.  Each replica's
+    result depends only on (seed, i, attempt), not on the units, the
+    blocks, the processes or other replicas' regenerations.
     """
-    return _fit(sample, a, n_sim, seed, mle_config, keep_d_sims, None)
-
-
-def _fit(sample, a, n_sim, seed, mle_config, keep_d_sims, pool):
-    """``fit_at_a``, its replica blocks mapped over ``pool``, a ``(map, P)``
-    pair from ``_processes``; None forks a pool for this fit alone when
-    ``_fit_workers`` gives P > 1."""
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
     tail = sample.truncated(a)
@@ -262,15 +256,12 @@ def _fit(sample, a, n_sim, seed, mle_config, keep_d_sims, pool):
     todo = np.arange(n_sim)
     regenerated = attempt = 0
     retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    pool = _processes(_fit_workers(n_sim, n_a)) if pool is None else nullcontext(pool)
-    with pool as (mapped, workers):
+    with _processes(_workers(n_sim, n_sim * n_a)) as (mapped, workers):
         while todo.size:
             n_blocks = min(todo.size, workers * -(-todo.size // (workers * block)))
             starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
-            # a generator, so that a pool starts on a block while the next
-            # one's start states are computed
-            blocks = (list(islice(starts, ids.size))
-                      for ids in np.array_split(todo, n_blocks))
+            blocks = [list(islice(starts, ids.size))
+                      for ids in np.array_split(todo, n_blocks)]
             outcomes = list(mapped(_attempt, repeat(params), repeat(n_a), blocks,
                                    repeat(mle_config)))
             solved = np.concatenate([s for s, _ in outcomes])
@@ -303,14 +294,12 @@ def default_cutoffs(sample, min_tail):
     return [int(u) for u in uniq[keep]]
 
 
-def _fit_one(task, pool):
-    """One cutoff of a scan, its blocks mapped over ``pool`` (see ``_fit``):
-    ``(fit, None)``, or ``(None, reason)`` when the cutoff fails a
-    precondition."""
+def _fit_one(task):
+    """One cutoff of a scan: ``(fit, None)``, or ``(None, reason)`` when the
+    cutoff fails a precondition."""
     sample, a, n_sim, seed = task
     try:
-        return _fit(sample, a, n_sim, _seed_for_cutoff(seed, a), DEFAULT_MLE_CONFIG,
-                    False, pool), None
+        return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a)), None
     except (EmptyTailError, DegenerateDataError, ConvergenceError,
             TailTooLargeError) as err:
         return None, f"{type(err).__name__}: {err}"
@@ -323,13 +312,15 @@ def scan(sample, config=ScanConfig()):
     ``config.p_threshold``; absent when no cutoff qualifies.  Cutoffs
     failing their preconditions are recorded as skipped, not fatal.
 
-    The scan forks at most one pool, and shuts it down before it returns.
-    With ``workers`` W >= 2 (at most one a cutoff and one a usable CPU)
-    its W processes run whole cutoffs, each fit inline.  With ``workers``
-    1 and at least two cutoffs it has a process a usable CPU, and every
-    fit maps its replica blocks over it.  On one usable CPU, or where
-    ``fork`` is unavailable, no process is started, and a one-cutoff
-    scan's fit forks as ``fit_at_a`` does.
+    The scan spreads whole cutoffs over one pool of P forked processes,
+    each fit inline in its process, and shuts the pool down before it
+    returns.  With ``workers`` W >= 2, P is W, at most one a cutoff and
+    one a usable CPU.  With ``workers`` 1 the scan picks P as a fit picks
+    its own (``_workers``): at most one a usable CPU and one a cutoff,
+    and no more than give each process 2^18 of the scan's n_sim x sum N_a
+    variates.  At P = 1 (one cutoff, one usable CPU or a small scan), or
+    where ``fork`` is unavailable, the cutoffs run in this process, and
+    each fit forks as ``fit_at_a`` does.
 
     Deterministic for identical (sample, config), including every
     simulated KS distance, regardless of ``workers`` and of the CPUs.
@@ -341,13 +332,14 @@ def scan(sample, config=ScanConfig()):
     fits = []
     skipped = []
     tasks = [(sample, a, config.n_sim, config.seed) for a in a_values]
-    cpus = _usable_cpus()
-    workers = min(config.workers, len(tasks), cpus)
-    shared = workers == 1 and len(tasks) > 1  # one pool for every fit's blocks
-    with _processes(cpus if shared else workers) as pool:
-        mapped = pool[0] if workers > 1 else map
-        outcomes = mapped(_fit_one, tasks, repeat(pool if shared else None))
-        for a, (fit, reason) in zip(a_values, outcomes):
+    if config.workers > 1:
+        workers = min(config.workers, len(tasks), _usable_cpus())
+    else:
+        tails = np.append(sample.survival_counts, 0)
+        n_a = tails[np.searchsorted(sample.unique_values, a_values)]
+        workers = _workers(len(tasks), config.n_sim * int(n_a.sum()))
+    with _processes(workers) as (mapped, _):
+        for a, (fit, reason) in zip(a_values, mapped(_fit_one, tasks)):
             if fit is None:
                 skipped.append((int(a), reason))
             else:

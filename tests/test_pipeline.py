@@ -133,21 +133,24 @@ def first_block(data, a, n_sim, seed, workers):
     return SamplerParams(a, beta), tail.size, starts, DEFAULT_MLE_CONFIG
 
 
-def test_fit_at_a_stays_within_its_memory_budget():
+def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 3.0 MB inline
+    # at n_sim = 1000 peaks at about 3.0 MB inline, as in a scan's worker
+    # process
     data = power_law_data(1.13, 350, seed=5, a=23)
-    assert pipeline._fit_workers(1000, data.truncated(23).size) == 1
+    n_a = data.truncated(23).size
+    assert pipeline._workers(1000, 1000 * n_a) == 1
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
-    # in a scan its blocks run in the scan's pool; one block of a
-    # two-process pool, 250 replicas, peaks at about 2.9 MB in its process
+    # split over two processes, one block of 250 replicas peaks at about
+    # 2.9 MB in its process
     assert traced_peak(pipeline._attempt, *first_block(data, 23, 1000, 3, 2)) <= 8 * 2**20
     # and the calling process, which holds the start states and the
-    # distances, at about 0.3 MB
-    with pipeline._processes(2) as pool:
-        peak = traced_peak(pipeline._fit, data, 23, 1000, 3, DEFAULT_MLE_CONFIG, False, pool)
-    assert peak <= 2**20
+    # distances, at about 0.6 MB
+    force_cpus(monkeypatch, 2)
+    assert pipeline._workers(1000, 1000 * n_a) == 2
+    assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 2**20
+    assert multiprocessing.active_children() == []
 
 
 def force_cpus(monkeypatch, cpus, unit=64):
@@ -170,20 +173,22 @@ def processes_in_a_worker(workers):
 
 def test_thread_count_gate(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-    # one process a whole 2^18-variate reduce unit, one a replica, one a CPU
-    assert pipeline._fit_workers(100, 300000) == 4
-    assert pipeline._fit_workers(100, 7864) == 2
-    assert pipeline._fit_workers(100, 5242) == 1
-    assert pipeline._fit_workers(100, 1000) == 1
-    assert pipeline._fit_workers(3, 10**7) == 3
-    assert pipeline._fit_workers(1, 10**7) == 1
+    # one process a whole 2^18-variate reduce unit, one a job (a replica
+    # of a fit, a cutoff of a scan), one a CPU
+    assert pipeline._workers(100, 100 * 300000) == 4
+    assert pipeline._workers(100, 100 * 7864) == 2
+    assert pipeline._workers(100, 100 * 5242) == 1
+    assert pipeline._workers(100, 100 * 1000) == 1
+    assert pipeline._workers(3, 3 * 10**7) == 3
+    assert pipeline._workers(1, 10**7) == 1
+    assert pipeline._workers(0, 0) == 1
     for cpus in (1, 2, 3):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-        assert pipeline._fit_workers(100, 300000) == cpus
-        assert pipeline._fit_workers(100, 7864) == min(cpus, 2)
-        assert pipeline._fit_workers(100, 5242) == 1
-        assert pipeline._fit_workers(3, 10**7) == cpus
-        assert pipeline._fit_workers(1, 10**7) == 1
+        assert pipeline._workers(100, 100 * 300000) == cpus
+        assert pipeline._workers(100, 100 * 7864) == min(cpus, 2)
+        assert pipeline._workers(100, 100 * 5242) == 1
+        assert pipeline._workers(3, 3 * 10**7) == cpus
+        assert pipeline._workers(1, 10**7) == 1
         with pipeline._processes(cpus) as (mapped, size):
             assert size == cpus
             # a worker process forks no pool of its own, and at one CPU the
@@ -205,7 +210,7 @@ def test_threads_change_no_result(monkeypatch, threads):
     scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
     serial_scan = scan(data, scan_config)
     force_cpus(monkeypatch, threads)
-    assert pipeline._fit_workers(300, 200) == pipeline._fit_workers(100, 14) == threads
+    assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == threads
     # and at the pass sizes of the tests above, but for a reduce unit past
     # any ensemble, which would keep the fits from splitting
     for size in (None,) + PASS_SIZES:
@@ -215,7 +220,8 @@ def test_threads_change_no_result(monkeypatch, threads):
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
         assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                         keep_d_sims=True) == regenerating
-        # a scan's fits map their blocks over the scan's one pool
+        # a scan spreads its cutoffs over its one pool, and their fits run
+        # inline in its processes
         assert scan(data, scan_config) == serial_scan
 
 
@@ -300,7 +306,7 @@ def test_threaded_fit_stays_within_its_memory_budget(monkeypatch):
     # 300000-observation tail peaks at about 4.2 MB in its process
     data = power_law_data(1.13, 300000, seed=5)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    assert pipeline._fit_workers(20, data.size) == 2
+    assert pipeline._workers(20, 20 * data.size) == 2
     assert traced_peak(pipeline._attempt, *first_block(data, 1, 20, 3, 2)) <= 5.2 * 2**20
     # and the calling process, which runs no block, at about 0.1 MB
     assert traced_peak(fit_at_a, data, 1, 20, 3) <= 2**20
@@ -447,25 +453,29 @@ def test_scan_deterministic_and_worker_invariant():
 
 
 def test_scan_worker_processes_after_threaded_fits(monkeypatch):
-    # both cutoffs are above the gate, so this process first runs a scan
-    # whose fits map their blocks over its pool, then a scan whose worker
-    # processes run the cutoffs and fork nothing; a pool kept past its scan
-    # would be inherited by the workers
+    # both cutoffs are above the gate, so this process first runs a fit
+    # that forks its own pool, then scans that spread the cutoffs over
+    # worker processes, which run the fits and fork nothing; a pool kept
+    # past its fit would be inherited by the workers
     data = power_law_data(1.3, 20000, seed=22)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
     tails = [data.truncated(a).size for a in config.a_values]
-    assert all(pipeline._fit_workers(100, n_a) == 2 for n_a in tails)
-    threaded = scan(data, config)
-    # each scan's pool is shut down with it, its processes joined
+    assert all(pipeline._workers(100, 100 * n_a) == 2 for n_a in tails)
+    threaded = fit_at_a(data, 1, 100, pipeline._seed_for_cutoff(5, 1))
+    # each pool is shut down with its fit or its scan, its processes joined
     assert multiprocessing.active_children() == []
-    assert scan(data, replace(config, workers=2)) == threaded
-    assert multiprocessing.active_children() == []
+    results = []
+    for workers in (1, 2):
+        results.append(scan(data, replace(config, workers=workers)))
+        assert multiprocessing.active_children() == []
+    assert results[0] == results[1]
+    assert results[0].fits[0] == threaded
 
 
-def test_scan_forks_one_pool_for_its_fits(monkeypatch):
-    # with one cutoff process a scan forks one pool of a process a CPU, and
-    # every fit's blocks run there, also the fits below the gate
+def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
+    # at `workers` 1 a scan forks one pool of a process a CPU, and each fit
+    # runs whole in one of its processes, even a fit past its own gate
     pools = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -476,24 +486,37 @@ def test_scan_forks_one_pool_for_its_fits(monkeypatch):
     data = power_law_data(1.3, 1200, seed=22)
     config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
     expected = scan(data, config)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     queue = multiprocessing.get_context("fork").SimpleQueue()
     attempt = pipeline._attempt
 
     def recording_pid(params, n_a, starts, mle_config):
-        queue.put(os.getpid())
+        queue.put((params.a, os.getpid()))
         return attempt(params, n_a, starts, mle_config)
 
-    patch_attempt(monkeypatch, recording_pid)
+    def recorded():
+        runs = []
+        while not queue.empty():
+            runs.append(queue.get())
+        return runs
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    assert all(pipeline._fit_workers(100, data.truncated(a).size) == 1
+    patch_attempt(monkeypatch, recording_pid)
+    # too small a scan to give each process a reduce unit forks nothing
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    assert scan(data, config) == expected
+    assert pools == [] and {pid for _, pid in recorded()} == {os.getpid()}
+    force_cpus(monkeypatch, 2)
+    assert all(pipeline._workers(100, 100 * data.truncated(a).size) == 2
                for a in config.a_values)
     assert scan(data, config) == expected
     assert pools == [2]
-    pids = []
-    while not queue.empty():
-        pids.append(queue.get())
-    assert len(pids) >= 6 and os.getpid() not in pids
+    runs = recorded()
+    pids = {pid for _, pid in runs}
+    assert {a for a, _ in runs} == set(config.a_values)
+    assert len(pids) <= 2 and os.getpid() not in pids
+    # every block of a cutoff ran in the same process
+    assert all(len({pid for b, pid in runs if b == a}) == 1 for a in config.a_values)
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_on_one_cpu_starts_no_process(monkeypatch):
@@ -517,7 +540,7 @@ def test_without_fork_everything_runs_inline(monkeypatch):
     expected_fit = fit_at_a(data, 1, 100, seed=5, keep_d_sims=True)
     expected = scan(data, config)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    assert pipeline._fit_workers(100, data.size) == 2
+    assert pipeline._workers(100, 100 * data.size) == 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
     assert fit_at_a(data, 1, 100, seed=5, keep_d_sims=True) == expected_fit
