@@ -12,6 +12,7 @@ corpus   : free text; the data are the frequencies of each distinct
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -291,7 +292,7 @@ def _add_input_args(sub):
     sub.add_argument("input", help="input data file")
     sub.add_argument("--format", choices=FORMATS, default="integers",
                      help="input format (default: integers)")
-    sub.add_argument("--encoding", default="utf-8",
+    sub.add_argument("--encoding", type=_text_encoding, default="utf-8",
                      help="text encoding for corpus mode (default: utf-8)")
 
 
@@ -367,6 +368,17 @@ def _float_where(ok, requirement):
     return parse
 
 
+def _text_encoding(name):
+    """An argparse type: the name of a codec that a text file can be read
+    with, so neither an unknown name nor a bytes-to-bytes codec such as
+    rot13.  The check is the codec lookup that opening the file makes."""
+    try:
+        io.TextIOWrapper(io.BytesIO(), encoding=name)
+    except LookupError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return name
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dplfit",
@@ -396,9 +408,10 @@ def build_parser():
     p_scan.add_argument("--min-tail", type=_int_at_least(2), default=10,
                         help="stop scanning once fewer data remain (default 10)")
     p_scan.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="forked processes the cutoffs are spread over, each "
-                             "running whole cutoffs (default 1: the scan chooses, "
-                             "one per usable CPU, fewer for a small scan)")
+                        help="forked processes the cutoffs are spread over; a "
+                             "cutoff with more than a W-th of the work is split "
+                             "(default 1: the scan chooses, one per usable CPU, "
+                             "fewer for a small scan)")
     p_scan.add_argument("--out", help="write the machine-readable JSON report here")
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -414,7 +427,7 @@ def build_parser():
 
     p_tok = sub.add_parser("tokenize", help="list token frequencies of a corpus")
     p_tok.add_argument("input", help="text file")
-    p_tok.add_argument("--encoding", default="utf-8")
+    p_tok.add_argument("--encoding", type=_text_encoding, default="utf-8")
     p_tok.add_argument("--out", help="destination file (default: stdout)")
     p_tok.set_defaults(func=_cmd_tokenize)
 

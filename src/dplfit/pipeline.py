@@ -10,18 +10,17 @@ and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
 memory budgets: they bound what one process of a fit holds at once and
 change no result.
 
-A scan's cutoffs, or a large fit's replica blocks, can run on processes
-forked from the calling process (``_processes``): they return their
-results, and only the calling process writes them.  ``scan`` and
-``fit_at_a`` say who forks and when; a worker process forks nothing, and
-where ``fork`` is unavailable everything runs in the calling process.
+A fit's or a scan's replicas run as jobs, each a run of consecutive
+replica indices of one cutoff, on one pool of forked processes (``_fits``);
+a worker process forks nothing, and where ``fork`` is unavailable
+everything runs in the calling process.
 """
 
 import concurrent.futures
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -68,8 +67,7 @@ class ScanConfig:
     minimum up, for as long as the tail keeps at least ``min_tail``
     observations.  Each replica gets its own RNG substream derived from
     (seed, a, replica index), so growing n_sim extends the ensemble
-    without reshuffling it, and the processes that the cutoffs are spread
-    over (``workers``; see ``scan``) do not affect results.
+    without reshuffling it, and ``workers`` changes no result.
     """
 
     a_values: tuple = None
@@ -121,11 +119,10 @@ def _usable_cpus():
 
 
 def _workers(jobs, variates):
-    """Processes to fork for ``jobs`` independent jobs that draw
-    ``variates`` variates in all: at most one a usable CPU and one a job,
-    and no more than give each process a whole reduce unit of
-    ``sampling._UNIT`` variates, since less work takes less time than the
-    fork."""
+    """Processes to fork for ``jobs`` independent jobs that draw ``variates``
+    variates in all: at most one a usable CPU and one a job, and no more
+    than give each process a whole ``sampling._UNIT`` reduce unit, since
+    less work takes less time than the fork."""
     workers = min(jobs, variates // sampling._UNIT)
     return 1 if workers < 2 else min(workers, _usable_cpus())
 
@@ -135,11 +132,10 @@ def _processes(workers):
     """Yield ``(map, P)``: the ``map`` of a pool of P = ``workers`` processes
     forked from this one, which yields in input order and is shut down, its
     processes joined, when the ``with`` exits.  For fewer than two workers,
-    in a worker process (whose own pool already spreads the work over the
-    CPUs) or where ``fork`` is unavailable, yield the builtin ``map`` and
-    P = 1.  The processes are forked, not spawned: a spawned process
-    imports numpy and dplfit afresh, and a pool of two takes about 0.35 s
-    to spawn against 12 ms to fork (2 vCPUs)."""
+    in a worker process (whose pool already spreads the work over the CPUs)
+    or where ``fork`` is unavailable, yield the builtin ``map`` and P = 1.
+    Forked, not spawned: a spawned process imports numpy and dplfit afresh,
+    and a pool of two takes 0.35 s to spawn, 12 ms to fork (2 vCPUs)."""
     if workers > 1:
         import multiprocessing  # slow to import: only a pool needs it
 
@@ -206,6 +202,85 @@ def _attempt(params, n_a, starts, mle_config):
     return solved, ks_distances(beta[status == SOLVED] + 1.0, a, values, above, lengths)
 
 
+# A cutoff's precondition errors: ``fit_at_a`` raises them, ``scan`` skips it.
+_PRECONDITIONS = (EmptyTailError, DegenerateDataError, ConvergenceError, TailTooLargeError)
+
+
+def _job(task):
+    """Replicas ``lo`` to ``hi`` - 1 of cutoff ``a``: the empirical fit and
+    d_emp, then a loop of attempts over the replicas in blocks, each
+    attempt's start states from one ``stream_starts`` generator (which
+    hashes each 256-id key block once).  Returns (N_a, the fit, d_emp, the
+    lost mass, the distances, the regenerations) or the precondition error
+    raised; stops once the regenerations pass the budget of 100 n_sim."""
+    sample, a, n_sim, seed, mle_config, lo, hi = task
+    try:
+        tail = sample.truncated(a)
+        mle = fit_beta(sufficient_stat(tail), a, mle_config)
+        d_emp = ks_statistic(tail, PowerLawModel(a, mle.beta_emp)).d
+        params = SamplerParams(a, mle.beta_emp)
+        block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
+        d_sims = np.empty(hi - lo)
+        todo = np.arange(lo, hi)
+        regenerated = attempt = 0
+        while todo.size and regenerated <= 100 * n_sim:
+            starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
+            unsolved = []
+            for ids in np.array_split(todo, -(-todo.size // block)):
+                solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)),
+                                     mle_config)
+                d_sims[ids[solved] - lo] = d
+                unsolved.append(ids[~solved])
+            todo = np.concatenate(unsolved)
+            regenerated += todo.size
+            attempt += 1
+    except _PRECONDITIONS as err:
+        return err
+    return tail.size, mle, d_emp, params.lost_mass, d_sims, regenerated
+
+
+def _fits(sample, cutoffs, n_sim, mle_config, workers, keep_d_sims=False):
+    """Fit ``sample`` at each (a, seed) of ``cutoffs`` with ``n_sim``
+    replicas: a list of each cutoff's ``FitAtA`` or precondition error.
+
+    On P processes cutoff a, which holds w_a = n_sim N_a of the work, runs
+    as k = min(n_sim, ceil(P w_a / sum w)) jobs (``_job``), at least one:
+    a cutoff that holds more than a P-th of the work is split, and every
+    other runs whole in one process.  ``workers`` W >= 2 gives P = min(W,
+    usable CPUs), and otherwise the ``_workers`` gate picks P.  A cutoff's
+    first job error wins; else its distances are assembled in replica order
+    and more than 100 n_sim regenerations in all raise ``ConvergenceError``.
+    """
+    tails = np.append(sample.survival_counts, 0)
+    at = np.searchsorted(sample.unique_values, [a for a, _ in cutoffs])
+    work = [n_sim * int(n_a) for n_a in tails[at]]
+    total = sum(work)
+    workers = (min(workers, _usable_cpus()) if workers > 1
+               else _workers(n_sim * len(cutoffs), total))
+    fits = []
+    with _processes(workers) as (mapped, workers):
+        splits = [max(1, min(n_sim, -(-workers * w // max(total, 1)))) for w in work]
+        tasks = [(sample, a, n_sim, seed, mle_config, n_sim * j // k, n_sim * (j + 1) // k)
+                 for (a, seed), k in zip(cutoffs, splits) for j in range(k)]
+        results = mapped(_job, tasks)
+        for (a, _), k in zip(cutoffs, splits):
+            parts = list(islice(results, k))
+            errors = [part for part in parts if isinstance(part, Exception)]
+            regenerated = 0 if errors else sum(r for *_, r in parts)
+            if errors or regenerated > 100 * n_sim:
+                fits.append(errors[0] if errors else ConvergenceError(
+                    f"more than {100 * n_sim} replica refits failed at a={a}"))
+                continue
+            n_a, mle, d_emp, lost_mass, _, _ = parts[0]
+            d_sims = np.concatenate([d for *_, d, _ in parts])
+            fits.append(FitAtA(
+                a=int(a), n_a=n_a, beta_emp=mle.beta_emp, sigma=mle.sigma, d_emp=d_emp,
+                p=p_value(d_emp, d_sims), regenerated=regenerated,
+                reliable=regenerated <= 0.01 * n_sim and lost_mass <= LOST_MASS_LIMIT,
+                d_sims=tuple(d_sims.tolist()) if keep_d_sims else None))
+    return fits
+
+
 def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
              keep_d_sims=False):
     """Steps 1-7 at a fixed cutoff.
@@ -221,70 +296,20 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     at the next attempt; regenerations are counted and more than 1% of
     them marks the result unreliable, as does a fitted exponent at which
     the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
-    proposal mass.  Replicas are drawn and tabulated in units of about
-    ``sampling._UNIT`` variates (``sampling.sample_groups``), and refit
-    and measured in blocks of at most ``_BLOCK_VALUES`` distinct values:
-    the refits of a block's attempt are one ``solve_betas`` call and its
-    KS distances one ``ks_distances`` call, which reads the replicas'
-    tables of distinct values as they are.  The fit is one loop of
-    attempts: each splits the replicas still to solve (at first all of
-    them) into equal blocks, a multiple of the P processes they run on so
-    that the processes finish together.  P is what ``_workers`` gives for
-    n_sim jobs of N_a variates each; at P > 1 this call forks a pool of P
-    processes and shuts it down before it returns, and at P = 1, or in a
-    worker process of a scan, the blocks run in this process.  The blocks
-    return which replicas solved and their distances, and only the calling
-    process writes ``d_sims``; the unsolved make the next attempt, and
-    more than 100 n_sim regenerations in all raise ``ConvergenceError``.
-    An attempt's start states come in order from one ``stream_starts``
-    generator, which hashes each 256-id key block once.  Each replica's
-    result depends only on (seed, i, attempt), not on the units, the
-    blocks, the processes or other replicas' regenerations.
+    proposal mass, and more than 100 n_sim of them raise
+    ``ConvergenceError``.
+
+    This is ``_fits`` for one cutoff: past the ``_workers`` gate, P slices
+    of the replicas on a pool of P forked processes, shut down before this
+    returns.  Each replica's result depends only on (seed, i, attempt), not
+    on the units, blocks or processes or other replicas' regenerations.
     """
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
-    tail = sample.truncated(a)
-    stat = sufficient_stat(tail)
-    mle = fit_beta(stat, a, mle_config)
-    model = PowerLawModel(a, mle.beta_emp)
-    d_emp = ks_statistic(tail, model).d
-
-    params = SamplerParams(a, mle.beta_emp)
-    n_a = tail.size
-    block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
-    d_sims = np.empty(n_sim)
-    todo = np.arange(n_sim)
-    regenerated = attempt = 0
-    retry_budget = 100 * n_sim  # loop guard only; heavy retrying is reported
-    with _processes(_workers(n_sim, n_sim * n_a)) as (mapped, workers):
-        while todo.size:
-            n_blocks = min(todo.size, workers * -(-todo.size // (workers * block)))
-            starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
-            blocks = [list(islice(starts, ids.size))
-                      for ids in np.array_split(todo, n_blocks)]
-            outcomes = list(mapped(_attempt, repeat(params), repeat(n_a), blocks,
-                                   repeat(mle_config)))
-            solved = np.concatenate([s for s, _ in outcomes])
-            d_sims[todo[solved]] = np.concatenate([d for _, d in outcomes])
-            todo = todo[~solved]
-            regenerated += todo.size
-            if regenerated > retry_budget:
-                raise ConvergenceError(
-                    f"more than {retry_budget} replica refits failed at a={a}")
-            attempt += 1
-
-    return FitAtA(
-        a=int(a),
-        n_a=n_a,
-        beta_emp=mle.beta_emp,
-        sigma=mle.sigma,
-        d_emp=d_emp,
-        p=p_value(d_emp, d_sims),
-        regenerated=regenerated,
-        reliable=(regenerated <= 0.01 * n_sim
-                  and params.lost_mass <= LOST_MASS_LIMIT),
-        d_sims=tuple(d_sims.tolist()) if keep_d_sims else None,
-    )
+    (fit,) = _fits(sample, [(a, seed)], n_sim, mle_config, 1, keep_d_sims)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def default_cutoffs(sample, min_tail):
@@ -294,33 +319,17 @@ def default_cutoffs(sample, min_tail):
     return [int(u) for u in uniq[keep]]
 
 
-def _fit_one(task):
-    """One cutoff of a scan: ``(fit, None)``, or ``(None, reason)`` when the
-    cutoff fails a precondition."""
-    sample, a, n_sim, seed = task
-    try:
-        return fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a)), None
-    except (EmptyTailError, DegenerateDataError, ConvergenceError,
-            TailTooLargeError) as err:
-        return None, f"{type(err).__name__}: {err}"
-
-
 def scan(sample, config=ScanConfig()):
-    """Run fit_at_a over the cutoff grid and select a*.
+    """Fit every cutoff of the grid as ``fit_at_a`` does and select a*.
 
     a* is the smallest tested cutoff whose p-value strictly exceeds
     ``config.p_threshold``; absent when no cutoff qualifies.  Cutoffs
     failing their preconditions are recorded as skipped, not fatal.
 
-    The scan spreads whole cutoffs over one pool of P forked processes,
-    each fit inline in its process, and shuts the pool down before it
-    returns.  With ``workers`` W >= 2, P is W, at most one a cutoff and
-    one a usable CPU.  With ``workers`` 1 the scan picks P as a fit picks
-    its own (``_workers``): at most one a usable CPU and one a cutoff,
-    and no more than give each process 2^18 of the scan's n_sim x sum N_a
-    variates.  At P = 1 (one cutoff, one usable CPU or a small scan), or
-    where ``fork`` is unavailable, the cutoffs run in this process, and
-    each fit forks as ``fit_at_a`` does.
+    All the cutoffs run through one ``_fits`` call, on one pool of forked
+    processes that is shut down before this returns: ``workers`` W >= 2
+    fixes P at W, at most one a usable CPU, and ``workers`` 1 lets the
+    ``_workers`` gate pick P from the scan's n_sim x sum N_a variates.
 
     Deterministic for identical (sample, config), including every
     simulated KS distance, regardless of ``workers`` and of the CPUs.
@@ -329,21 +338,11 @@ def scan(sample, config=ScanConfig()):
     if a_values is None:
         a_values = default_cutoffs(sample, config.min_tail)
 
-    fits = []
-    skipped = []
-    tasks = [(sample, a, config.n_sim, config.seed) for a in a_values]
-    if config.workers > 1:
-        workers = min(config.workers, len(tasks), _usable_cpus())
-    else:
-        tails = np.append(sample.survival_counts, 0)
-        n_a = tails[np.searchsorted(sample.unique_values, a_values)]
-        workers = _workers(len(tasks), config.n_sim * int(n_a.sum()))
-    with _processes(workers) as (mapped, _):
-        for a, (fit, reason) in zip(a_values, mapped(_fit_one, tasks)):
-            if fit is None:
-                skipped.append((int(a), reason))
-            else:
-                fits.append(fit)
+    cutoffs = [(a, _seed_for_cutoff(config.seed, a)) for a in a_values]
+    results = _fits(sample, cutoffs, config.n_sim, DEFAULT_MLE_CONFIG, config.workers)
+    fits = [fit for fit in results if not isinstance(fit, Exception)]
+    skipped = [(int(a), f"{type(err).__name__}: {err}")
+               for a, err in zip(a_values, results) if isinstance(err, Exception)]
 
     a_star = beta_star = sigma_star = None
     for fit in fits:

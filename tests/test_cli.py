@@ -505,6 +505,11 @@ def test_cli_cutoff_above_maximum(tmp_path, capsys):
     ["scan", "--min-tail", "1"],
     ["scan", "--workers", "0"],
     ["scan", "--workers", "-1"],
+    ["fit", "--a", "1", "--encoding", "nope"],
+    ["scan", "--encoding", "nope"],
+    ["curves", "--a", "1", "--encoding", "nope"],
+    ["tokenize", "--encoding", "nope"],
+    ["tokenize", "--encoding", "rot13"],
 ], ids=" ".join)
 def test_cli_rejects_option_values_out_of_range(tmp_path, capsys, args):
     # each is a usage error before any work: a one-line message, no traceback

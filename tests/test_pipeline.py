@@ -123,12 +123,13 @@ def traced_peak(fn, *args):
 
 def first_block(data, a, n_sim, seed, workers):
     """The arguments of a fit's first block of replicas on ``workers``
-    processes, split as ``fit_at_a`` splits them."""
+    processes: the first block of the first of its min(n_sim, workers)
+    slices, split as ``pipeline._job`` splits a slice."""
     tail = data.truncated(a)
     beta = fit_beta(sufficient_stat(tail), a).beta_emp
     block = max(1, min(n_sim, pipeline._BLOCK_VALUES // tail.unique_values.size))
-    n_blocks = min(n_sim, workers * -(-n_sim // (workers * block)))
-    ids = np.array_split(np.arange(n_sim), n_blocks)[0]
+    job = np.arange(n_sim // min(n_sim, workers))
+    ids = np.array_split(job, -(-job.size // block))[0]
     starts = list(stream_starts(seed, replica_stream(ids, 0)))
     return SamplerParams(a, beta), tail.size, starts, DEFAULT_MLE_CONFIG
 
@@ -136,17 +137,17 @@ def first_block(data, a, n_sim, seed, workers):
 def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 3.0 MB inline, as in a scan's worker
+    # at n_sim = 1000 peaks at about 2.9 MB inline, as in a scan's worker
     # process
     data = power_law_data(1.13, 350, seed=5, a=23)
     n_a = data.truncated(23).size
     assert pipeline._workers(1000, 1000 * n_a) == 1
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
-    # split over two processes, one block of 250 replicas peaks at about
-    # 2.9 MB in its process
+    # split into two slices of 500 replicas on two processes, one block of
+    # 250 replicas peaks at about 2.9 MB in its process
     assert traced_peak(pipeline._attempt, *first_block(data, 23, 1000, 3, 2)) <= 8 * 2**20
-    # and the calling process, which holds the start states and the
-    # distances, at about 0.6 MB
+    # and the calling process, which holds the slices' distances, at about
+    # 0.4 MB
     force_cpus(monkeypatch, 2)
     assert pipeline._workers(1000, 1000 * n_a) == 2
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 2**20
@@ -159,22 +160,14 @@ def force_cpus(monkeypatch, cpus, unit=64):
     monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
 
 
-def patch_attempt(monkeypatch, fn):
-    # a pool pickles the function it maps by its name, and the processes it
-    # forks inherit the patch: the name must lead to `fn`
-    fn.__module__, fn.__qualname__ = pipeline.__name__, "_attempt"
-    monkeypatch.setattr(pipeline, "_attempt", fn)
-
-
 def processes_in_a_worker(workers):
     with pipeline._processes(workers) as (_, size):
         return size
 
 
-def test_thread_count_gate(monkeypatch):
+def test_process_count_gate(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-    # one process a whole 2^18-variate reduce unit, one a job (a replica
-    # of a fit, a cutoff of a scan), one a CPU
+    # one process a whole 2^18-variate reduce unit, one a replica, one a CPU
     assert pipeline._workers(100, 100 * 300000) == 4
     assert pipeline._workers(100, 100 * 7864) == 2
     assert pipeline._workers(100, 100 * 5242) == 1
@@ -198,8 +191,21 @@ def test_thread_count_gate(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_threads_change_no_result(monkeypatch, threads):
+def never_solving(seed, replicas, attempts):
+    """An ``_attempt`` under which ``replicas`` of the fit at ``seed`` fail
+    their first ``attempts`` attempts and every other replica solves."""
+    stuck = {start for k in range(attempts)
+             for start in stream_starts(seed, replica_stream(replicas, k))}
+
+    def never_solved(params, n_a, starts, mle_config):
+        solved = np.array([start not in stuck for start in starts])
+        return solved, np.zeros(np.count_nonzero(solved))
+
+    return never_solved
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3, 8])
+def test_processes_change_no_result(monkeypatch, processes):
     data = power_law_data(1.2, 200, seed=31)
     default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
     # narrow bounds make many replicas regenerate, as in the test above
@@ -209,8 +215,13 @@ def test_threads_change_no_result(monkeypatch, threads):
     assert regenerating.regenerated > 10
     scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
     serial_scan = scan(data, scan_config)
-    force_cpus(monkeypatch, threads)
-    assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == threads
+    tails = [data.truncated(a).size for a in scan_config.a_values]
+    force_cpus(monkeypatch, processes)
+    assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == processes
+    assert pipeline._workers(300, 100 * sum(tails)) == processes
+    # on more than one process the scan splits its first cutoff, which
+    # holds more than a P-th of its work, into slices of its replicas
+    assert (-(-processes * tails[0] // sum(tails)) > 1) == (processes > 1)
     # and at the pass sizes of the tests above, but for a reduce unit past
     # any ensemble, which would keep the fits from splitting
     for size in (None,) + PASS_SIZES:
@@ -220,13 +231,17 @@ def test_threads_change_no_result(monkeypatch, threads):
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
         assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                         keep_d_sims=True) == regenerating
-        # a scan spreads its cutoffs over its one pool, and their fits run
-        # inline in its processes
         assert scan(data, scan_config) == serial_scan
+    # the retry budget counts the regenerations of all of a fit's slices:
+    # the 100 replicas stuck for 301 attempts pass 100 n_sim = 30000
+    monkeypatch.setattr(pipeline, "_attempt", never_solving(8, np.arange(0, 300, 3), 301))
+    with pytest.raises(ConvergenceError, match="more than 30000 replica refits failed at a=1"):
+        fit_at_a(data, 1, 300, seed=8)
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("threads", [2, 3])
-def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
+@pytest.mark.parametrize("processes", [2, 3])
+def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, processes):
     data = power_law_data(1.2, 200, seed=31)
     tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
     config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
@@ -234,8 +249,8 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
     regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     assert regenerating.regenerated > 10
     # each block sleeps the longer the earlier its first replica, so the
-    # blocks of an attempt finish in reverse order; the pool's processes
-    # report the order through a queue
+    # slices of a fit, one block each, finish in reverse order; the pool's
+    # processes report the order through a queue
     first = {start: i for seed in (8, 21) for k in range(40)
              for i, start in enumerate(stream_starts(seed, replica_stream(np.arange(300), k)))}
     queue = multiprocessing.get_context("fork").SimpleQueue()
@@ -243,7 +258,7 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
 
     def slow_early_blocks(params, n_a, starts, mle_config):
         i = first[starts[0]]
-        time.sleep(0.002 * (300 - i) / threads)
+        time.sleep(0.002 * (300 - i) / processes)
         result = attempt(params, n_a, starts, mle_config)
         queue.put((i, os.getpid()))
         return result
@@ -255,11 +270,11 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, threads):
         assert os.getpid() not in {pid for _, pid in order}
         return [i for i, _ in order]
 
-    force_cpus(monkeypatch, threads)
-    patch_attempt(monkeypatch, slow_early_blocks)
+    force_cpus(monkeypatch, processes)
+    monkeypatch.setattr(pipeline, "_attempt", slow_early_blocks)
     assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == serial
     order = finished()
-    assert order[:threads] == sorted(order[:threads], reverse=True)
+    assert order[:processes] == sorted(order[:processes], reverse=True)
     assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                     keep_d_sims=True) == regenerating
     order = finished()
@@ -281,34 +296,28 @@ def test_errors_in_one_block_propagate(monkeypatch):
     # every third replica fails at each of its attempts: the 100 of them
     # regenerate 100 times an attempt and pass the budget of 100 n_sim =
     # 30000 at attempt 300
-    stuck = {start for k in range(301)
-             for start in stream_starts(8, replica_stream(np.arange(0, 300, 3), k))}
-
-    def never_solved(params, n_a, starts, mle_config):
-        solved = np.array([start not in stuck for start in starts])
-        return solved, np.zeros(np.count_nonzero(solved))
-
+    never_solved = never_solving(8, np.arange(0, 300, 3), 301)
     threads_before = threading.active_count()
-    patch_attempt(monkeypatch, too_large)
+    monkeypatch.setattr(pipeline, "_attempt", too_large)
     with pytest.raises(TailTooLargeError, match="first block"):
         fit_at_a(data, 1, 300, seed=8)
     # each fit's pool is shut down with it, its processes joined
     assert multiprocessing.active_children() == []
-    patch_attempt(monkeypatch, never_solved)
-    with pytest.raises(ConvergenceError, match="more than 30000"):
+    monkeypatch.setattr(pipeline, "_attempt", never_solved)
+    with pytest.raises(ConvergenceError, match="more than 30000 replica refits failed at a=1"):
         fit_at_a(data, 1, 300, seed=8)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
 
 
-def test_threaded_fit_stays_within_its_memory_budget(monkeypatch):
+def test_pooled_fit_stays_within_its_memory_budget(monkeypatch):
     # the reduce and block budgets hold per process: a block of a
     # 300000-observation tail peaks at about 4.2 MB in its process
     data = power_law_data(1.13, 300000, seed=5)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     assert pipeline._workers(20, 20 * data.size) == 2
     assert traced_peak(pipeline._attempt, *first_block(data, 1, 20, 3, 2)) <= 5.2 * 2**20
-    # and the calling process, which runs no block, at about 0.1 MB
+    # and the calling process, which runs no slice, at about 0.1 MB
     assert traced_peak(fit_at_a, data, 1, 20, 3) <= 2**20
     assert multiprocessing.active_children() == []
 
@@ -452,17 +461,17 @@ def test_scan_deterministic_and_worker_invariant():
     assert r1 == r3
 
 
-def test_scan_worker_processes_after_threaded_fits(monkeypatch):
+def test_scan_worker_processes_after_pooled_fits(monkeypatch):
     # both cutoffs are above the gate, so this process first runs a fit
-    # that forks its own pool, then scans that spread the cutoffs over
-    # worker processes, which run the fits and fork nothing; a pool kept
-    # past its fit would be inherited by the workers
+    # that forks its own pool, then scans that spread the cutoffs' slices
+    # over worker processes, which fork nothing; a pool kept past its fit
+    # would be inherited by the workers
     data = power_law_data(1.3, 20000, seed=22)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
     tails = [data.truncated(a).size for a in config.a_values]
     assert all(pipeline._workers(100, 100 * n_a) == 2 for n_a in tails)
-    threaded = fit_at_a(data, 1, 100, pipeline._seed_for_cutoff(5, 1))
+    pooled = fit_at_a(data, 1, 100, pipeline._seed_for_cutoff(5, 1))
     # each pool is shut down with its fit or its scan, its processes joined
     assert multiprocessing.active_children() == []
     results = []
@@ -470,12 +479,13 @@ def test_scan_worker_processes_after_threaded_fits(monkeypatch):
         results.append(scan(data, replace(config, workers=workers)))
         assert multiprocessing.active_children() == []
     assert results[0] == results[1]
-    assert results[0].fits[0] == threaded
+    assert results[0].fits[0] == pooled
 
 
 def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
-    # at `workers` 1 a scan forks one pool of a process a CPU, and each fit
-    # runs whole in one of its processes, even a fit past its own gate
+    # at `workers` 1 a scan forks one pool of a process a CPU; a cutoff
+    # that holds more than a P-th of the scan's work runs as slices of its
+    # replicas, and every other cutoff runs whole in one process
     pools = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -488,9 +498,13 @@ def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
     expected = scan(data, config)
     queue = multiprocessing.get_context("fork").SimpleQueue()
     attempt = pipeline._attempt
+    # the replica index of each start state at attempt 0
+    first = {(a, start): i for a in config.a_values
+             for i, start in enumerate(stream_starts(_seed_for_cutoff(5, a),
+                                                     replica_stream(np.arange(100), 0)))}
 
     def recording_pid(params, n_a, starts, mle_config):
-        queue.put((params.a, os.getpid()))
+        queue.put((params.a, first.get((params.a, starts[0])), len(starts), os.getpid()))
         return attempt(params, n_a, starts, mle_config)
 
     def recorded():
@@ -500,22 +514,32 @@ def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
         return runs
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    patch_attempt(monkeypatch, recording_pid)
+    monkeypatch.setattr(pipeline, "_attempt", recording_pid)
     # too small a scan to give each process a reduce unit forks nothing
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     assert scan(data, config) == expected
-    assert pools == [] and {pid for _, pid in recorded()} == {os.getpid()}
+    assert pools == [] and {pid for *_, pid in recorded()} == {os.getpid()}
     force_cpus(monkeypatch, 2)
-    assert all(pipeline._workers(100, 100 * data.truncated(a).size) == 2
-               for a in config.a_values)
+    tails = [data.truncated(a).size for a in config.a_values]
+    assert pipeline._workers(300, 100 * sum(tails)) == 2
     assert scan(data, config) == expected
     assert pools == [2]
     runs = recorded()
-    pids = {pid for _, pid in runs}
-    assert {a for a, _ in runs} == set(config.a_values)
+    pids = {pid for *_, pid in runs}
+    assert {a for a, *_ in runs} == set(config.a_values)
     assert len(pids) <= 2 and os.getpid() not in pids
-    # every block of a cutoff ran in the same process
-    assert all(len({pid for b, pid in runs if b == a}) == 1 for a in config.a_values)
+    # a block holds a whole slice here, so each cutoff's first attempt is
+    # its slices: cutoff 1 holds over half the work and runs as
+    # ceil(2 w_1 / sum w) = 2 consecutive slices, the others whole, every
+    # attempt of each in one process
+    assert pipeline._BLOCK_VALUES // data.unique_values.size >= 100
+    splits = [-(-2 * n_a // sum(tails)) for n_a in tails]
+    assert splits == [2, 1, 1]
+    for a, k in zip(config.a_values, splits):
+        slices = sorted((i, size) for b, i, size, _ in runs if b == a and i is not None)
+        assert slices == [(100 * j // k, 100 * (j + 1) // k - 100 * j // k) for j in range(k)]
+        if k == 1:
+            assert len({pid for b, *_, pid in runs if b == a}) == 1
     assert multiprocessing.active_children() == []
 
 
