@@ -84,8 +84,13 @@ def ingest(spec):
     or count above 2^63 - 1 and where the total count passes it, and
     DplfitError on empty input.
     """
+    return _parse(spec, Path(spec.path).read_bytes())
+
+
+def _parse(spec, data):
+    """The IntegerSample of ``data``, the bytes of ``spec``'s file."""
     path = Path(spec.path)
-    text = path.read_text(encoding=spec.encoding)
+    text = data.decode(spec.encoding)
     if spec.format == "corpus":
         tally = Counter(Counter(tokenize_text(text)).values())
         if not tally:
@@ -136,14 +141,17 @@ def _write_output(path, text):
             f.truncate(len(data))
 
 
-def _input_provenance(spec):
-    digest = hashlib.sha256(Path(spec.path).read_bytes()).hexdigest()
-    return {
+def _read_input(spec):
+    """Read ``spec``'s file once: its sample and the provenance of the bytes
+    it was parsed from, so a pipe's digest is that of what it delivered."""
+    data = Path(spec.path).read_bytes()
+    provenance = {
         "path": str(spec.path),
         "format": spec.format,
         "encoding": spec.encoding,
-        "sha256": digest,
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
+    return _parse(spec, data), provenance
 
 
 def _fit_record(fit):
@@ -176,7 +184,7 @@ class ReportRecord:
         _write_output(path, self.to_json())
 
 
-def _base_document(spec, sample, seed, n_sim):
+def _base_document(provenance, sample, seed, n_sim):
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {
@@ -184,7 +192,7 @@ def _base_document(spec, sample, seed, n_sim):
             "version": __version__,
             "rng_algorithm": RNG_ALGORITHM,
         },
-        "input": _input_provenance(spec) | {"n_values": sample.size},
+        "input": provenance | {"n_values": sample.size},
         "seed": seed,
         "n_sim": n_sim,
     }
@@ -196,9 +204,9 @@ def run_fit(spec, a, n_sim, seed):
     The replicas are seeded as ``scan`` seeds cutoff ``a``, so the fit
     reproduces the scan's row for ``a`` at the same seed and n_sim.
     """
-    sample = ingest(spec)
+    sample, provenance = _read_input(spec)
     fit = fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a))
-    doc = _base_document(spec, sample, seed, n_sim)
+    doc = _base_document(provenance, sample, seed, n_sim)
     doc["analysis"] = "fit"
     doc["fit"] = _fit_record(fit)
     doc["notes"] = [
@@ -209,9 +217,9 @@ def run_fit(spec, a, n_sim, seed):
 
 def run_scan(spec, config):
     """Cutoff scan wrapped in a reproducible report."""
-    sample = ingest(spec)
+    sample, provenance = _read_input(spec)
     result = scan(sample, config)
-    doc = _base_document(spec, sample, config.seed, config.n_sim)
+    doc = _base_document(provenance, sample, config.seed, config.n_sim)
     doc["analysis"] = "scan"
     doc["scan"] = {
         "p_threshold": config.p_threshold,
@@ -264,28 +272,26 @@ def _human_fit_line(rec):
     )
 
 
-def _print_fit_report(doc, out=None):
-    print(_human_fit_line(doc["fit"]), file=out or sys.stdout)
+def _print_fit_report(doc):
+    print(_human_fit_line(doc["fit"]))
 
 
-def _print_scan_report(doc, out=None):
-    out = out or sys.stdout
+def _print_scan_report(doc):
     scan_doc = doc["scan"]
     for rec in scan_doc["fits"]:
-        print(_human_fit_line(rec), file=out)
+        print(_human_fit_line(rec))
     for rec in scan_doc["skipped"]:
-        print(f"a={rec['a']:<6d} skipped: {rec['reason']}", file=out)
+        print(f"a={rec['a']:<6d} skipped: {rec['reason']}")
     if scan_doc["a_star"] is None:
         print(f"no acceptable power-law tail (no cutoff with p > "
-              f"{scan_doc['p_threshold']})", file=out)
+              f"{scan_doc['p_threshold']})")
     else:
         print(
             f"a* = {scan_doc['a_star']}  beta* = {scan_doc['beta_star']:.4f} "
             f"+- {scan_doc['sigma_star']:.4f}  (smallest cutoff with p > "
-            f"{scan_doc['p_threshold']})",
-            file=out,
+            f"{scan_doc['p_threshold']})"
         )
-    print("note: " + doc["notes"][0], file=out)
+    print("note: " + doc["notes"][0])
 
 
 def _add_input_args(sub):

@@ -3,12 +3,11 @@ scan over cutoffs that selects a* = min{a : p > threshold}.
 
 Replicas are refit and measured in blocks of about ``_BLOCK_VALUES``
 distinct values, with one ``solve_betas`` and one ``ks_distances`` call
-per block.  A block's replicas are drawn in units of about
-``sampling._UNIT`` variates (``sampling.sample_groups``), and each unit's
-rows are sorted and reduced to ln G and their tables of distinct values
-and N_v, flat, which ``ks_distances`` reads as they are.  Both sizes are
-memory budgets: they bound what one process of a fit holds at once and
-change no result.
+per block.  A block's replicas are drawn (``sample_rows``), sorted and
+reduced in units of about ``_UNIT`` variates, each unit's rows to ln G
+and their tables of distinct values and N_v, flat, which
+``ks_distances`` reads as they are.  Both sizes are memory budgets: they
+bound what one process of a fit holds at once and change no result.
 
 A fit's or a scan's replicas run as jobs, each a run of consecutive
 replica indices of one cutoff, on one pool of forked processes (``_fits``);
@@ -24,12 +23,11 @@ from itertools import islice
 
 import numpy as np
 
-from . import sampling
 from .distribution import PowerLawModel, at_cutoff, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
-from .sampling import SamplerParams, replica_stream, sample_groups, stream_starts
+from .sampling import SamplerParams, replica_stream, sample_rows, stream_starts
 
 # Replicas are refit and measured in blocks of about this many distinct
 # values, as many replicas as the empirical tail's distinct-value count
@@ -37,6 +35,11 @@ from .sampling import SamplerParams, replica_stream, sample_groups, stream_start
 # are held at once.  The replicas are draws of the tail's size from the
 # model fitted to it, so its count is a fair estimate of theirs.
 _BLOCK_VALUES = 1 << 15
+
+# A block's replicas are drawn, sorted and tabulated in units of about this
+# many variates (at least one replica a unit), so a small tail's replicas
+# are sorted and tabulated hundreds at once.
+_UNIT = 1 << 18
 
 # A fit whose replicas lose more than this proposal mass to the sampler's
 # 2^63 cap is reported unreliable: its replicas are biased toward small
@@ -121,9 +124,9 @@ def _usable_cpus():
 def _workers(jobs, variates):
     """Processes to fork for ``jobs`` independent jobs that draw ``variates``
     variates in all: at most one a usable CPU and one a job, and no more
-    than give each process a whole ``sampling._UNIT`` reduce unit, since
-    less work takes less time than the fork."""
-    workers = min(jobs, variates // sampling._UNIT)
+    than give each process a whole ``_UNIT`` reduce unit, since less work
+    takes less time than the fork."""
+    workers = min(jobs, variates // _UNIT)
     return 1 if workers < 2 else min(workers, _usable_cpus())
 
 
@@ -169,29 +172,21 @@ def _tabulate(n_a, rows):
     return log_g, values, n_a - at % n_a, distinct
 
 
-def _replicas(params, n_a, starts):
-    """Draw the replicas of start states ``starts``; return each one's ln G
-    and all their distinct values, N_v and distinct-value counts, flat.
-
-    Each unit of replicas from ``sample_groups`` is tabulated at once
-    (``_tabulate``), and only one unit is held at a time.
-    """
-    parts = []
-    for rows in sample_groups(params, n_a, starts):
-        parts.append(_tabulate(n_a, rows))
-        del rows  # let the unit go before the next one is drawn
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
 def _attempt(params, n_a, starts, mle_config):
     """Draw, refit and measure the replicas of start states ``starts``: one
     ``solve_betas`` and one ``ks_distances`` call.  Returns which of them
     solved and those ones' KS distances.
+
+    The replicas are drawn and tabulated (``_tabulate``) a unit of about
+    ``_UNIT`` variates at a time; only ``_tabulate`` holds a unit's rows,
+    so they are let go before the next unit is drawn.
     """
     a = params.a
-    log_g, values, above, lengths = _replicas(params, n_a, starts)
+    unit = max(1, _UNIT // n_a)
+    parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
+             for lo in range(0, len(starts), unit)]
+    log_g, values, above, lengths = (
+        parts[0] if len(parts) == 1 else [np.concatenate(arrays) for arrays in zip(*parts)])
     fit = np.flatnonzero(~at_cutoff(log_g, a))
     beta, _, status = solve_betas(log_g[fit], a, mle_config)
     solved = np.zeros(len(starts), dtype=bool)

@@ -20,16 +20,13 @@ call keys 256 substreams.  Proposal k of a substream is made from its uniform
 proposals are drawn at once (``_batch_size``, ``_CHUNK``) is not part of
 that definition, so it changes no variate.
 
-Replicas are drawn a group at a time: each row's start state is set on
-one reused bit generator, and the group's first batches are one
-(rows x 2 batch) array of uniforms whose proposals are made and tested
-in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row that
-comes up short, as every row of a tail larger than ``_CHUNK`` proposals
-does, goes on alone from the end of its first batch, ``_CHUNK``
-proposals at a time.  ``sample_groups`` hands rows on in units of about
-``_UNIT`` variates, one array that its groups fill in place, so that the
-caller's per-unit work (sort, tabulation) runs on arrays of that size
-however few variates a row has.  ``sample_n`` draws a row from where an
+Rows are drawn a group at a time (``sample_rows``): each row's start
+state is set on one reused bit generator, and the group's first batches
+are one (rows x 2 batch) array of uniforms whose proposals are made and
+tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
+that comes up short, as every row of a tail larger than ``_CHUNK``
+proposals does, goes on alone from the end of its first batch, ``_CHUNK``
+proposals at a time.  ``sample_n`` draws a row from where an
 ``RngStream`` stands.
 """
 
@@ -62,11 +59,6 @@ _M128 = (1 << 128) - 1
 # passes of this many.  Its temporaries stay in cache and are reused from
 # pass to pass; at 2^16 proposals a draw runs slower, not faster.
 _CHUNK = 1 << 14
-
-# Rows are handed on in units of about this many variates (at least one
-# row a unit), so a small tail's replicas are sorted and tabulated
-# hundreds of rows at once.
-_UNIT = 1 << 18
 
 
 def replica_stream(replica, attempt):
@@ -237,17 +229,23 @@ def _empty_rows(rows, count):
         ) from err
 
 
-def _draw(params, count, gen, starts, group):
+def sample_rows(params, count, starts):
     """One row of ``count`` variates, in draw order, per PCG64 start state
-    in ``starts``, all through the one bit generator of ``gen``.
+    in ``starts``: a (len(starts) x count) array.
 
-    The rows are drawn ``group`` at a time: a group's first batches, of at
-    most ``_CHUNK`` proposals, are drawn as one (rows x 2 batch) array and
-    tested in one pass; each row keeps its first ``count`` accepts, and a
-    row left short goes on alone.
+    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``
+    when start i is the ``stream_starts`` of (seed, id_i).  The rows are
+    drawn through one reused bit generator in groups of as many rows as
+    first batches fit in ``_CHUNK`` proposals, at least one: a group's
+    first batches are drawn as one (rows x 2 batch) array and tested in one
+    pass; each row keeps its first ``count`` accepts, and a row left short
+    goes on alone.
     """
+    starts = list(starts)
+    gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
-    batch = min(_batch_size(params, count), _CHUNK)
+    size = _batch_size(params, count)
+    batch, group = min(size, _CHUNK), max(1, _CHUNK // size)
     out = _empty_rows(len(starts), count)
     uniforms = np.empty((min(group, len(starts)), 2 * batch))
     for lo in range(0, len(starts), group):
@@ -266,25 +264,6 @@ def _draw(params, count, gen, starts, group):
             _seek(bitgen, starts[lo + r], 2 * batch)
             _fill(params, rows[r], got.size, gen)
     return out
-
-
-def sample_groups(params, count, starts):
-    """Yield ``count`` variates from each start state in ``starts``, one row
-    per start in draw order, a unit of rows at a time.
-
-    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``
-    when start i is the ``stream_starts`` of (seed, id_i).
-    A unit holds as many rows as fit in ``_UNIT`` variates, at least one,
-    and is drawn in groups of as many rows as first batches fit in
-    ``_CHUNK`` proposals, at least one.  Only the caller holds a unit once
-    it is yielded, so it can let it go before the next is drawn.
-    """
-    starts = list(starts)
-    gen = np.random.Generator(np.random.PCG64(0))
-    group = max(1, _CHUNK // _batch_size(params, count))
-    unit = max(1, _UNIT // count)
-    for lo in range(0, len(starts), unit):
-        yield _draw(params, count, gen, starts[lo:lo + unit], group)
 
 
 def sample_n(params, count, rng):

@@ -1,12 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dplfit.cli import (
     _write_output,
@@ -22,7 +27,7 @@ from dplfit.cli import (
 from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
 from dplfit.errors import DplfitError, ParseError
 from dplfit.mle import fit_beta
-from dplfit.pipeline import LOST_MASS_LIMIT, ScanConfig
+from dplfit.pipeline import LOST_MASS_LIMIT, ScanConfig, fit_at_a
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
 from oracles import expanded, table
@@ -230,6 +235,26 @@ def test_run_fit_report_contents(tmp_path):
     fit = doc["fit"]
     assert fit["verdict"] in ("rejected", "not rejected")
     assert fit["verdict"] == ("rejected" if fit["p"] <= 0.05 else "not rejected")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_report_digest_is_of_the_bytes_parsed_from_a_pipe(tmp_path):
+    # a pipe can be read once: the digest is of the bytes the fit parsed,
+    # not of a second, empty read, and a regular file's report is the same
+    f = make_power_law_file(tmp_path, n=300)
+    data = f.read_bytes()
+    r, w = os.pipe()
+    os.write(w, data)  # fits in the pipe's buffer
+    os.close(w)
+    try:
+        piped = run_fit(InputSpec(f"/dev/fd/{r}"), a=1, n_sim=100, seed=0).document
+    finally:
+        os.close(r)
+    regular = run_fit(InputSpec(str(f)), a=1, n_sim=100, seed=0).document
+    assert piped["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert piped["input"]["n_values"] == 300
+    piped["input"]["path"] = str(f)
+    assert piped == regular
 
 
 def test_run_fit_rejects_geometric(tmp_path):
@@ -569,6 +594,42 @@ def test_cli_fit_with_the_largest_int64_value(tmp_path):
     assert fit["n_a"] == 41 and fit["regenerated"] == 0
     assert fit["reliable"] is False
     assert SamplerParams(a, fit["beta_emp"]).lost_mass > LOST_MASS_LIMIT
+
+
+@settings(max_examples=60)
+@given(a=st.integers(1, 2**62), log_beta=st.floats(math.log(1e-4), math.log(50.0)),
+       n=st.integers(2, 200), seed=st.integers(0, 2**32))
+def test_fits_over_the_accepted_box_are_finite_or_typed_errors(
+        tmp_path_factory, a, log_beta, n, seed):
+    # every (a, beta) the command line and MleConfig accept, drawn from the
+    # sampler and fitted both in-process and through `dplfit fit` on a
+    # counts file of the same data, warnings as errors: a finite result
+    # or a typed error, never a traceback
+    f = tmp_path_factory.getbasetemp() / "box.counts"
+    out = f.with_suffix(".json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = sample_n(SamplerParams(a, math.exp(log_beta)), n, RngStream(seed))
+        try:
+            fit = fit_at_a(data, a, 100, seed)
+        except DplfitError:
+            pass
+        else:
+            assert all(map(math.isfinite, (fit.beta_emp, fit.sigma, fit.d_emp, fit.p.p)))
+        f.write_text("".join(f"{v} {c}\n" for v, c in zip(*table(data))), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["fit", str(f), "--format", "counts", "--a", str(a),
+                         "--nsim", "100", "--seed", str(seed), "--out", str(out)])
+    if code == 0:
+        record = json.loads(out.read_text(encoding="utf-8"))["fit"]
+        assert all(math.isfinite(record[field])
+                   for field in ("beta_emp", "sigma", "d_emp", "p", "sigma_p"))
+    else:
+        assert code == 1
+        assert stderr.getvalue().startswith("error: ")
+        assert stderr.getvalue().count("\n") == 1
 
 
 def test_cli_import_needs_no_scipy():

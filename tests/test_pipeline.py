@@ -97,7 +97,7 @@ PASS_SIZES = (1, 2**62)
 
 def with_pass_sizes(monkeypatch, size):
     monkeypatch.setattr(dplfit.sampling, "_CHUNK", size)
-    monkeypatch.setattr(dplfit.sampling, "_UNIT", size)
+    monkeypatch.setattr(pipeline, "_UNIT", size)
     monkeypatch.setattr(pipeline, "_BLOCK_VALUES", size)
 
 
@@ -157,7 +157,7 @@ def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
 def force_cpus(monkeypatch, cpus, unit=64):
     # any fit of at least `cpus` reduce units of `unit` variates splits
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
+    monkeypatch.setattr(pipeline, "_UNIT", unit)
 
 
 def processes_in_a_worker(workers):
@@ -227,7 +227,7 @@ def test_processes_change_no_result(monkeypatch, processes):
     for size in (None,) + PASS_SIZES:
         if size is not None:
             with_pass_sizes(monkeypatch, size)
-            monkeypatch.setattr(dplfit.sampling, "_UNIT", min(size, 64))
+            monkeypatch.setattr(pipeline, "_UNIT", min(size, 64))
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
         assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
                         keep_d_sims=True) == regenerating

@@ -17,8 +17,8 @@ from dplfit.sampling import (
     _proposals_from_uniforms,
     accept_test,
     acceptance_ratio,
-    sample_groups,
     sample_n,
+    sample_rows,
     stream_starts,
 )
 
@@ -275,8 +275,7 @@ def test_variates_keep_their_digest(beta, digest):
     # was fixed
     h = hashlib.sha256()
     for count in (50, 20000):
-        for rows in sample_groups(SamplerParams(1, beta), count, stream_starts(7, range(3))):
-            h.update(rows.tobytes())
+        h.update(sample_rows(SamplerParams(1, beta), count, stream_starts(7, range(3))).tobytes())
     assert h.hexdigest() == digest
 
 
@@ -320,29 +319,25 @@ def test_stream_key_is_seed_sequence_words():
             assert RngStream(seed, stream).uniform(100).tolist() == expected.tolist()
 
 
-def test_sample_groups_reject_bad_seeds():
+def test_sample_rows_reject_bad_seeds():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            next(sample_groups(SamplerParams(1, 1.0), 10, stream_starts(seed, [0])))
+            sample_rows(SamplerParams(1, 1.0), 10, stream_starts(seed, [0]))
 
 
 @pytest.mark.parametrize("count,group", [(20, 32), (700, 7), (3000, 1), (6000, 1)])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_group_rows_equal_one_at_a_time(monkeypatch, seed, count, group):
-    # units of 32, 7 and 1 rows, the unit budget set to that many rows,
-    # with a partial last unit, each drawn in groups of a third as many
-    # rows (at least one), the group budget set to that many first
-    # batches; every row is the replica its own stream gives when drawn
-    # alone, and no two streams agree
+    # rows drawn in groups of 10, 2 and 1 rows (a third of 32, 7 and 1, at
+    # least one), the group budget set to that many first batches, with a
+    # partial last group; every row is the replica its own stream gives
+    # when drawn alone, and no two streams agree
     params = SamplerParams(2, 0.9)
-    monkeypatch.setattr(dplfit.sampling, "_UNIT", group * count)
     monkeypatch.setattr(dplfit.sampling, "_CHUNK",
                         max(1, group // 3) * dplfit.sampling._batch_size(params, count))
     streams = STREAMS + tuple(range(300, 300 + 2 * group))
-    groups = list(sample_groups(params, count, stream_starts(seed, streams)))
-    sizes = [len(streams[lo:lo + group]) for lo in range(0, len(streams), group)]
-    assert [rows.shape for rows in groups] == [(size, count) for size in sizes]
-    rows = np.concatenate(groups)
+    rows = sample_rows(params, count, stream_starts(seed, streams))
+    assert rows.shape == (len(streams), count)
     assert len({row.tobytes() for row in rows}) == len(streams)
     for row, stream in zip(rows, streams):
         expected = variates_one_at_a_time(params, count, RngStream(seed, stream))
@@ -362,7 +357,7 @@ def test_short_rows_continue_on_their_own_streams(monkeypatch, chunk):
     counts = (5, 40, 300)
 
     def draw(count):
-        return np.concatenate(list(sample_groups(params, count, stream_starts(9, STREAMS))))
+        return sample_rows(params, count, stream_starts(9, STREAMS))
 
     real = [draw(count) for count in counts]
     monkeypatch.setattr(dplfit.sampling, "_batch_size", lambda params, need: need // 3 + 2)
