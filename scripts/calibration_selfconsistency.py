@@ -6,6 +6,7 @@ about 5% of the time.
 """
 
 import argparse
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -13,6 +14,19 @@ from functools import partial
 import numpy as np
 
 from dplfit import RngStream, SamplerParams, fit_at_a, sample_n
+
+
+def binomial_quantile(n, p, q):
+    """The smallest k with P(X <= k) >= q for X ~ Binomial(n, p), 0 < p < 1,
+    summing the mass in the log domain (math.lgamma), so that it holds for
+    any n."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * math.log(p) + (n - k) * math.log1p(-p))
+        if cdf >= q:
+            return k
+    return n
 
 
 def one_rep(args, rep):
@@ -33,15 +47,20 @@ def main():
     parser.add_argument("--seed", type=int, default=5150)
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
+    if not 0.0 < args.level < 1.0:
+        parser.error(f"--level must lie in (0, 1), got {args.level}")
 
     t0 = time.time()
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         ps = np.array(list(pool.map(partial(one_rep, args), range(args.reps), chunksize=8)))
     rate = float((ps <= args.level).mean())
-    sd = 2.576 * np.sqrt(args.level * (1 - args.level) / args.reps)
+    # the 0.5% and 99.5% quantiles of the rejection count of a calibrated
+    # test, Binomial(reps, level), as rates: a band inside [0, 1]
+    low, high = (binomial_quantile(args.reps, args.level, q) / args.reps
+                 for q in (0.005, 0.995))
     print(f"{args.reps} repetitions in {time.time()-t0:.0f}s")
     print(f"rejection rate at p <= {args.level}: {rate:.4f} "
-          f"(99% band around {args.level}: [{args.level-sd:.4f}, {args.level+sd:.4f}])")
+          f"(99% band around {args.level}: [{low:.4f}, {high:.4f}])")
     print("p-value deciles:", np.round(np.quantile(ps, np.arange(0.1, 1.0, 0.1)), 3))
 
 

@@ -5,7 +5,10 @@ on every interval (m, m+1] between integers, and between consecutive
 distinct values v < v' of a sample the empirical side is N_v'/N while S
 falls, so the supremum over real n >= a sits at some v or v + 1 (at the
 cutoff both sides are 1).  A sample is measured there, straight from its
-table of distinct values v and N_v, the number of its data >= v.
+table of distinct values v and N_v, the number of its data >= v.  The
+model survival comes from the zeta kernel where a run of consecutive
+values starts, one exponent a sample for all its runs, and is carried
+along the run by subtraction (``_deviations``).
 """
 
 from dataclasses import dataclass
@@ -49,7 +52,9 @@ def _deviations(s, a, values, above, lengths):
 
     A sample's values fall into runs of consecutive integers.  The kernel
     ``scaled_zeta`` runs only where a run starts, and at the cutoff for the
-    norm Z(s, a) when no value sits there.  Along a run S is carried by the
+    norm Z(s, a) when no value sits there, with one exponent a sample
+    (its ``rows`` argument), so the terms that depend on s alone are
+    computed once a sample.  Along a run S is carried by the
     subtraction, one value at a time, and S(v + 1) is S(v) less the mass
     at v, so a value's row depends only on its own run and a sample's
     distances do not depend on the samples it is measured with.  Each step adds an
@@ -74,11 +79,11 @@ def _deviations(s, a, values, above, lengths):
     z = np.empty(heads.size)
     for lo in range(0, heads.size, _ZETA_CHUNK):
         at = heads[lo:lo + _ZETA_CHUNK]
-        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s[sample[lo:lo + _ZETA_CHUNK]], values[at])
+        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s, values[at], rows=sample[lo:lo + _ZETA_CHUNK])
     # the norm is the kernel at the first value where that is the cutoff
     norm = z[lead]
     off = np.flatnonzero(values[first] != a)
-    norm[off] = scaled_zeta(s[off], a)
+    norm[off] = scaled_zeta(s, a, rows=off)
     norm = np.repeat(norm, lengths)
     at_heads = mass[heads] * (z / norm[heads])
     mass /= norm

@@ -23,6 +23,13 @@ a/(s-1) + 1 and neither overflows nor underflows for any cutoff;
 ``hurwitz_zeta`` is a^-s Z(s, a) for scalar and array a alike.
 Differentiated term by term the same sum gives dZ/ds and d2Z/ds2, from
 which the likelihood equation is solved.
+
+Relative to a^-s the corrections are (a/N)^s / N sum_j c_j(s) N^(2-2j),
+c_j(s) = B_2j (s)_{2j-1} / (2j)!.  The coefficients c_j and N0 depend on
+the exponent alone, so they are computed once per exponent, and the sum
+is taken by Horner's rule in 1/N^2.  Many elements can share one
+exponent (the ``rows`` argument): a KS pass evaluates the kernel at
+many values of one replica, at that replica's fitted exponent.
 """
 
 import math
@@ -60,7 +67,47 @@ def em_start(s):
     return q * root / (2.0 * math.pi)
 
 
-def scaled_zeta(s, a, derivatives=False):
+def _coefficients(s, derivatives):
+    """The corrections' coefficients B_2j (s)_{2j-1} / (2j)!, j = 1..J, of
+    each exponent of the 1-d ``s``, as a (1, J, s.size) array; with
+    ``derivatives`` (3, J, s.size), their first and second s-derivatives
+    after them."""
+    c = np.empty((3 if derivatives else 1, CORRECTIONS, s.size))
+    r = 0.5 * s  # (s)_{2j-1} / (2j)!
+    if derivatives:
+        # d/ds ln (s)_{2j-1} = sum_{i<2j-1} 1/(s+i); d2/ds2 = -sum 1/(s+i)^2
+        dlog = 1.0 / s
+        d2log = dlog * dlog  # minus the second derivative
+    for j in range(CORRECTIONS):
+        if j:
+            u = s + (2 * j - 1.0)
+            v = s + 2.0 * j
+            r = r * (u * v / ((2 * j + 1.0) * (2 * j + 2)))
+            if derivatives:
+                u = 1.0 / u
+                v = 1.0 / v
+                dlog = dlog + (u + v)
+                d2log = d2log + (u * u + v * v)
+        c[0, j] = BERNOULLI_EVEN[j] * r
+        if derivatives:
+            c[1, j] = c[0, j] * dlog
+            c[2, j] = c[0, j] * (dlog * dlog - d2log)
+    return c
+
+
+def _horner(c, rows, w):
+    """sum_j c[j][rows] w^j, by Horner's rule from the last coefficient.
+    Each element's coefficients are gathered one row at a time, so no
+    temporary is larger than ``w``."""
+    p = c[-1][rows] * w
+    for cj in c[-2:0:-1]:
+        p += cj[rows]
+        p *= w
+    p += c[0][rows]
+    return p
+
+
+def scaled_zeta(s, a, derivatives=False, rows=None):
     """Z(s, a) = a^s zeta(s, a), elementwise over arrays s > 1 and a >= 1.
 
     Each term is taken relative to a^-s: the head terms are
@@ -68,33 +115,49 @@ def scaled_zeta(s, a, derivatives=False):
     is 1 when M = 0.  With ``derivatives`` the result is the triple
     (Z, dZ/ds, d2Z/ds2), each term differentiated in closed form.
 
+    With ``rows``, ``s`` is a 1-d array of exponents and element i is
+    Z(s[rows[i]], a[i]), over the broadcast of ``rows`` and ``a``; without
+    it each element of the broadcast of ``s`` and ``a`` is its own
+    exponent.  What depends on the exponent alone, N0(s) and the
+    corrections' coefficients, is computed once per exponent, and the
+    corrections are summed by Horner's rule in 1/N^2.
+
     An element's head count depends on its own (s, a) only, every
     operation is elementwise and the terms are added in a fixed order, so
     an element's value does not depend on the other elements it is
-    evaluated with.  The arguments are not validated, except that an
-    element needing more than ``MAX_HEAD_TERMS`` head terms raises
-    ``ValueError``.
+    evaluated with, nor on whether its exponent comes through ``rows``.
+    The arguments are not validated, except that an element needing more
+    than ``MAX_HEAD_TERMS`` head terms raises ``ValueError``.
     """
-    shape = np.broadcast_shapes(np.shape(s), np.shape(a))
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), shape).ravel()
+    if rows is None and np.ndim(s) == 0:
+        s, rows = [s], 0  # one exponent for every element
+    if rows is None:
+        shape = np.broadcast_shapes(np.shape(s), np.shape(a))
+        s = np.broadcast_to(np.asarray(s, dtype=np.float64), shape).ravel()
+        rows = slice(None)
+    else:
+        shape = np.broadcast_shapes(np.shape(rows), np.shape(a))
+        rows = np.broadcast_to(rows, shape).ravel()
+        s = np.asarray(s, dtype=np.float64).ravel()
     a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()
     # em_start overflows from s ~ 1e307; from 1e300 up every cutoff below
     # 2^63 needs more head terms than the cap, so the clamp changes no count
     # that is used
-    m = np.maximum(np.ceil(em_start(np.minimum(s, 1e300)) - a), 0.0)
+    m = np.maximum(np.ceil(em_start(np.minimum(s, 1e300))[rows] - a), 0.0)
     heads = m.max(initial=0.0)
+    x = s[rows]  # each element's exponent
     if heads > MAX_HEAD_TERMS:
         raise ValueError(f"zeta exponent too large: more than {MAX_HEAD_TERMS} "
-                         f"head terms at s = {float(s[np.argmax(m)])!r}")
+                         f"head terms at s = {float(x[np.argmax(m)])!r}")
     z = (m > 0).astype(np.float64)  # the k = 0 head term
     if derivatives:
-        z1 = np.zeros(s.size)
-        z2 = np.zeros(s.size)
+        z1 = np.zeros(a.size)
+        z2 = np.zeros(a.size)
     live = np.flatnonzero(m > 1)
     for k in range(1, int(heads)):
         live = live[m[live] > k]
         ell = np.log1p(k / a[live])
-        t = np.exp(-s[live] * ell)
+        t = np.exp(-x[live] * ell)
         z[live] += t
         if derivatives:
             t *= ell
@@ -102,12 +165,12 @@ def scaled_zeta(s, a, derivatives=False):
             z2[live] += t * ell
 
     n = a + m
-    ell = np.zeros(s.size)
-    e = np.ones(s.size)
+    ell = np.zeros(a.size)
+    e = np.ones(a.size)
     head = np.flatnonzero(m)
     ell[head] = np.log1p(m[head] / a[head])
-    e[head] = np.exp(-s[head] * ell[head])
-    inv_sm1 = 1.0 / (s - 1.0)
+    e[head] = np.exp(-x[head] * ell[head])
+    inv_sm1 = (1.0 / (s - 1.0))[rows]
     integral = n * e * inv_sm1
     half = 0.5 * e
     z += integral + half
@@ -116,32 +179,18 @@ def scaled_zeta(s, a, derivatives=False):
         z1 -= integral * rate + half * ell
         z2 += integral * (rate * rate + inv_sm1 * inv_sm1) + half * (ell * ell)
 
-    c = 0.5 * s * e / n
-    term = BERNOULLI_EVEN[0] * c
-    corr = term.copy()
-    inv_n2 = 1.0 / (n * n)
-    if derivatives:
-        # d/ds ln C_{2j-1} = sum_{i<2j-1} 1/(s+i) - ell; d2/ds2 = -sum 1/(s+i)^2
-        dlog = 1.0 / s - ell
-        d2log = -1.0 / (s * s)
-        corr1 = term * dlog
-        corr2 = term * (dlog * dlog + d2log)
-    for j in range(2, CORRECTIONS + 1):
-        c = c * ((s + 2 * j - 2.0) * (s + 2 * j - 3.0) / (2 * j * (2 * j - 1.0))) * inv_n2
-        term = BERNOULLI_EVEN[j - 1] * c
-        corr += term
-        if derivatives:
-            u = 1.0 / (s + 2 * j - 3.0)
-            v = 1.0 / (s + 2 * j - 2.0)
-            dlog = dlog + (u + v)
-            d2log = d2log - (u * u + v * v)
-            corr1 += term * dlog
-            corr2 += term * (dlog * dlog + d2log)
-    z += corr
+    # the corrections are e/N sum_j c_j(s) N^(2-2j), and s enters e = (a/N)^s
+    # as well: d/ds (e c_j) = e (c_j' - ell c_j)
+    c = _coefficients(s, derivatives)
+    w = 1.0 / (n * n)
+    q = e / n
+    corr = _horner(c[0], rows, w)
+    z += q * corr
     if not derivatives:
         return z.reshape(shape)
-    z1 += corr1
-    z2 += corr2
+    corr1 = _horner(c[1], rows, w)
+    z1 += q * (corr1 - ell * corr)
+    z2 += q * (_horner(c[2], rows, w) - ell * (2.0 * corr1 - ell * corr))
     return z.reshape(shape), z1.reshape(shape), z2.reshape(shape)
 
 

@@ -616,6 +616,10 @@ def test_fits_over_the_accepted_box_are_finite_or_typed_errors(
             pass
         else:
             assert all(map(math.isfinite, (fit.beta_emp, fit.sigma, fit.d_emp, fit.p.p)))
+            # unreliable exactly when over 1% of the replicas were redrawn or
+            # the sampler's 2^63 cap drops too much of the proposal mass
+            lost = SamplerParams(a, fit.beta_emp).lost_mass
+            assert fit.reliable == (fit.regenerated <= 0.01 * 100 and lost <= LOST_MASS_LIMIT)
         f.write_text("".join(f"{v} {c}\n" for v, c in zip(*table(data))), encoding="utf-8")
         out.unlink(missing_ok=True)
         stderr = io.StringIO()

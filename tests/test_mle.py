@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dplfit import mle
 from dplfit.distribution import (
     IntegerSample,
     SufficientStat,
+    at_cutoff,
     log_likelihood,
     sufficient_stat,
 )
 from dplfit.errors import ConvergenceError, DegenerateDataError
 from dplfit.mle import AT_BOUND, SOLVED, MleConfig, fit_beta, solve_betas
-from dplfit.sampling import RngStream, SamplerParams, sample_n
+from dplfit.sampling import RngStream, SamplerParams, sample_n, sample_rows, stream_starts
 
 from oracles import grid_argmax_beta, psi_mpmath
 
@@ -98,9 +101,12 @@ def test_deterministic():
 
 
 def test_iteration_budget_exhaustion():
+    # the table start is within about 1e-7 of the root, so one evaluation
+    # meets the default tolerance; a far tighter one needs a second
     stat = sufficient_stat(IntegerSample([1, 2, 4, 9]))
-    with pytest.raises(ConvergenceError):
-        fit_beta(stat, 1, MleConfig(max_iter=3))
+    assert fit_beta(stat, 1, MleConfig(beta_tol=1e-12)).iterations > 1
+    with pytest.raises(ConvergenceError, match="no convergence within 1 iterations"):
+        fit_beta(stat, 1, MleConfig(beta_tol=1e-12, max_iter=1))
 
 
 def test_config_validation():
@@ -108,8 +114,10 @@ def test_config_validation():
         MleConfig(beta_bounds=(2.0, 1.0))
     with pytest.raises(ValueError):
         MleConfig(beta_tol=0.0)
-    with pytest.raises(ValueError):
-        MleConfig(beta_init=100.0)
+    # the bracket's lower end beta + 1 must lie in the kernel's domain s > 1
+    with pytest.raises(ValueError, match="resolution of beta"):
+        MleConfig(beta_bounds=(1e-300, 50.0))
+    assert MleConfig(beta_bounds=(1e-15, 50.0)).beta_bounds[0] == 1e-15
 
 
 @pytest.mark.parametrize("a", [1, 2, 7, 100, 10**4, 10**6])
@@ -149,3 +157,58 @@ def test_batch_solve_bit_identical_to_single(a):
     for i in np.flatnonzero(status == SOLVED)[:20]:
         stat = SufficientStat(n_a=5, log_geo_mean=log_g[i])
         assert fit_beta(stat, a).beta_emp == beta[i]
+
+
+def _targets(beta, a):
+    """ln G - ln a at which the likelihood equation's root is exactly beta."""
+    z, z1, _ = mle.scaled_zeta(np.asarray(beta, dtype=np.float64) + 1.0, a, derivatives=True)
+    return -z1 / z
+
+
+@pytest.mark.parametrize("a", [1, 3, 1000, 10**9, 2**62])
+def test_roots_take_one_evaluation_or_two_near_the_upper_bound(a):
+    # the table start is within about 1e-7 of the root, so Newton's first
+    # step meets the tolerance; a step that rounds back to the start ends
+    # the search rather than bisecting away from it
+    beta = np.geomspace(1e-4, 50.0, 2001)[1:-1]
+    got, iterations, status = solve_betas(_targets(beta, a) + math.log(a), a)
+    solved = status == SOLVED
+    assert np.all(iterations <= 2)
+    assert np.all(iterations[beta < 2.0] == 1)
+    assert np.all(np.abs(got[solved] - beta[solved]) <= MleConfig().beta_tol / 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 2**62), log_beta=st.floats(math.log(1e-4), math.log(50.0)))
+def test_table_start_is_near_the_root(a, log_beta):
+    target = _targets([math.exp(log_beta)], a)
+    start = mle._start(target, a, MleConfig().beta_bounds) - 1.0
+    beta, _, status = solve_betas(target + math.log(a), a)
+    assert abs(start[0] - beta[0]) <= 1e-6 * beta[0], (a, log_beta, status)
+
+
+@pytest.mark.parametrize("a", [1, 10, 500])
+def test_replica_refit_makes_at_most_two_kernel_calls(monkeypatch, a):
+    # 1000 replicas of a corpus-like tail, beta = 1.13 and N_a = 40, refit
+    # as a replica block is: one kernel call a Newton evaluation for the
+    # whole batch, and the start table built once for the cutoff
+    rows = sample_rows(SamplerParams(a, 1.13), 40, stream_starts(a, range(1000)))
+    log_g = np.log(rows).mean(axis=1)
+    log_g = log_g[~at_cutoff(log_g, a)]
+    mle._start_table.cache_clear()
+    calls = []
+    kernel = mle.scaled_zeta
+
+    def counting(s, *args, **kwargs):
+        calls.append(np.size(s))
+        return kernel(s, *args, **kwargs)
+
+    monkeypatch.setattr(mle, "scaled_zeta", counting)
+    beta, iterations, status = solve_betas(log_g, a)
+    assert calls[0] == mle._TABLE_NODES  # the table's build
+    assert 1 <= len(calls) - 1 <= 2
+    assert np.all(status == SOLVED)
+    assert iterations.mean() <= 1.1
+    calls.clear()
+    assert np.array_equal(solve_betas(log_g, a)[0], beta)
+    assert 1 <= len(calls) <= 2  # the table is kept

@@ -210,7 +210,7 @@ def test_processes_change_no_result(monkeypatch, processes):
     default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
     # narrow bounds make many replicas regenerate, as in the test above
     tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    config = MleConfig(beta_bounds=(1.0, 3.0))
     regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     assert regenerating.regenerated > 10
     scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
@@ -244,7 +244,7 @@ def test_processes_change_no_result(monkeypatch, processes):
 def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, processes):
     data = power_law_data(1.2, 200, seed=31)
     tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    config = MleConfig(beta_bounds=(1.0, 3.0))
     serial = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
     regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     assert regenerating.regenerated > 10
@@ -350,7 +350,7 @@ def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
     # replicas are regenerated; each must still be the first good attempt
     # of its own substreams, whatever failed before it.
     data = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_init=1.5, beta_bounds=(1.0, 3.0))
+    config = MleConfig(beta_bounds=(1.0, 3.0))
     fit = fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
     attempts = []
     for i in range(100):

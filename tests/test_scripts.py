@@ -28,3 +28,10 @@ def test_experiment_script_runs(script, args, summary):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert re.search(summary, proc.stdout), proc.stdout
+    band = re.search(r"band around [\d.]+: \[(\S+), (\S+)\]", proc.stdout)
+    if band:
+        # the 0.5% and 99.5% binomial quantiles of 4 repetitions at 0.05:
+        # 0 and 2 rejections
+        low, high = map(float, band.groups())
+        assert 0.0 <= low <= 0.05 <= high <= 1.0
+        assert (low, high) == (0.0, 0.5)

@@ -104,7 +104,7 @@ def test_head_count_cap_refuses_huge_exponents_at_once():
         lambda: PowerLawModel(2**62, math.inf),
         lambda: MleConfig(beta_bounds=(1e-4, 1e7)),
         lambda: MleConfig(beta_bounds=(1e-4, math.inf)),
-        lambda: MleConfig(beta_init=1e300, beta_bounds=(1e-4, 1e301)),
+        lambda: MleConfig(beta_bounds=(1e-4, 1e301)),
         lambda: MleConfig(beta_bounds=(1e-4, 1.9e4)),
     ]
     for call in refused:
@@ -139,6 +139,25 @@ def test_batch_matches_one_at_a_time_across_budgets():
         alone = scaled_zeta(s[i], a[i], derivatives=True)
         for got, want in zip(batch, alone):
             assert got[i] == want
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_rows_index_exponents_bit_for_bit(derivatives):
+    # element i of scaled_zeta(s, a, rows=r) is the kernel at s[r[i]],
+    # whatever other elements share its exponent, and a scalar exponent
+    # is one exponent for every element
+    rng = np.random.default_rng(5)
+    s = np.array([1.0001, 1.13, 2.13, 5.0, 51.0])
+    rows = rng.integers(0, s.size, 400)
+    a = np.concatenate([np.arange(1.0, 201.0), np.floor(np.geomspace(201, 2.0**62, 200))])
+    # with derivatives, the (Z, Z', Z'') triple as one (3, n) array
+    got = np.asarray(scaled_zeta(s, a, derivatives, rows=rows))
+    assert np.array_equal(got, np.asarray(scaled_zeta(s[rows], a, derivatives)))
+    assert np.array_equal(scaled_zeta(s, 7.0, derivatives, rows=[[4, 0], [2, 2]]),
+                          scaled_zeta(s[[[4, 0], [2, 2]]], 7.0, derivatives))
+    for i in range(s.size):
+        assert np.array_equal(scaled_zeta(s[i], a, derivatives),
+                              scaled_zeta(np.full(a.size, s[i]), a, derivatives))
 
 
 def test_correction_term_closed_form():
