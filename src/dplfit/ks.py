@@ -51,16 +51,15 @@ def _deviations(s, a, values, above, lengths):
         S(n+1) = S(n) - (a/n)^s / Z(s, a).
 
     A sample's values fall into runs of consecutive integers.  The kernel
-    ``scaled_zeta`` runs only where a run starts, and at the cutoff for the
-    norm Z(s, a) when no value sits there, with one exponent a sample
-    (its ``rows`` argument), so the terms that depend on s alone are
-    computed once a sample.  Along a run S is carried by the
-    subtraction, one value at a time, and S(v + 1) is S(v) less the mass
-    at v, so a value's row depends only on its own run and a sample's
-    distances do not depend on the samples it is measured with.  Each step adds an
-    absolute error of about one ulp of S, the scale the distance is
-    measured at; relative to a small S(n) it can be large, which a
-    distance does not see.
+    ``scaled_zeta`` runs only where a run starts, with one exponent a
+    sample (its ``rows`` argument), so the terms that depend on s alone
+    are computed once a sample, and at the cutoff for each sample's norm
+    Z(s, a).  Along a run S is carried by the subtraction, one value at a
+    time, and S(v + 1) is S(v) less the mass at v, so a value's row
+    depends only on its own run and a sample's distances do not depend on
+    the samples it is measured with.  Each step adds an absolute error of
+    about one ulp of S, the scale the distance is measured at; relative to
+    a small S(n) it can be large, which a distance does not see.
     """
     first = np.cumsum(lengths) - lengths
     start = np.empty(values.size, dtype=bool)
@@ -80,11 +79,7 @@ def _deviations(s, a, values, above, lengths):
     for lo in range(0, heads.size, _ZETA_CHUNK):
         at = heads[lo:lo + _ZETA_CHUNK]
         z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s, values[at], rows=sample[lo:lo + _ZETA_CHUNK])
-    # the norm is the kernel at the first value where that is the cutoff
-    norm = z[lead]
-    off = np.flatnonzero(values[first] != a)
-    norm[off] = scaled_zeta(s, a, rows=off)
-    norm = np.repeat(norm, lengths)
+    norm = np.repeat(scaled_zeta(s, a), lengths)
     at_heads = mass[heads] * (z / norm[heads])
     mass /= norm
     model = norm  # the norm's buffer takes the model, run by run

@@ -29,13 +29,12 @@ from .zeta import MAX_HEAD_TERMS, em_start, scaled_zeta
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Solver settings: the tolerance ``beta_tol`` on beta, the search
-    interval ``beta_bounds`` (which the Newton start's table spans) and
-    the iteration budget ``max_iter``."""
+    """Solver settings: the tolerance ``beta_tol`` on beta and the search
+    interval ``beta_bounds``, which the Newton start's table spans.  The
+    iteration budget is the constant ``MAX_ITER``."""
 
     beta_tol: float = 1e-6
     beta_bounds: tuple = (1e-4, 50.0)
-    max_iter: int = 10_000
 
     def __post_init__(self):
         lo, hi = self.beta_bounds
@@ -66,6 +65,9 @@ class MleResult:
 # Per-element outcome of solve_betas.
 SOLVED, AT_BOUND, NOT_CONVERGED = 0, 1, 2
 
+# Newton evaluations an element may take; the table start needs one or two.
+MAX_ITER = 10_000
+
 # Nodes of a start table, geometric in beta over the bounds.
 _TABLE_NODES = 256
 
@@ -75,8 +77,10 @@ def _start_table(a, lo, hi):
     """The Newton start's table at cutoff ``a`` over bounds [lo, hi], from
     one kernel call: the rows x = ln t, ascending, of t(s) = psi(s, a) - ln a
     = -Z'/Z, y = ln beta and the exact slope dy/dx = t / (beta dt/ds), at
-    nodes geometric in beta.  Read only; it depends on its arguments
-    alone."""
+    nodes geometric in beta.  At a small cutoff t underflows to 0 past s of
+    about 1075 ln 2 / ln(1 + 1/a), and its slope a little earlier; nodes
+    there are dropped, so the table can stop short of ``hi``.  Read only;
+    it depends on its arguments alone."""
     s = np.geomspace(lo, hi, _TABLE_NODES) + 1.0
     # bounds near the resolution of beta + 1 round nodes together; not
     # np.unique, whose first call in a forked process copies its heap
@@ -85,7 +89,9 @@ def _start_table(a, lo, hi):
     z, z1, z2 = scaled_zeta(s, a, derivatives=True)
     mean = z1 / z
     slope = mean * mean - z2 / z  # dt/ds
-    table = np.stack([np.log(-mean), np.log(beta), -mean / (beta * slope)])[:, ::-1].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.stack([np.log(-mean), np.log(beta), -mean / (beta * slope)])
+    table = table[:, np.isfinite(table).all(axis=0)][:, ::-1].copy()
     table.flags.writeable = False
     return table
 
@@ -103,7 +109,9 @@ def _start(targets, a, bounds):
     v = 1.0 - u
     log_beta = (v * v * ((1.0 + 2.0 * u) * y[k] + h * u * dydx[k])
                 + u * u * ((1.0 + 2.0 * v) * y[k + 1] - h * v * dydx[k + 1]))
-    return np.fmax(np.fmin(np.exp(log_beta), bounds[1]), bounds[0]) + 1.0
+    # the table can end short of hi, whose own t underflowed
+    beta = np.where(targets < math.exp(x[0]), bounds[1], np.exp(log_beta))
+    return np.fmax(np.fmin(beta, bounds[1]), bounds[0]) + 1.0
 
 
 def solve_betas(log_geo_means, a, config=DEFAULT_MLE_CONFIG):
@@ -127,10 +135,10 @@ def solve_betas(log_geo_means, a, config=DEFAULT_MLE_CONFIG):
     beta : ndarray
         The roots minus one (meaningful where status is SOLVED).
     iterations : ndarray
-        Evaluations of psi per element, at most ``config.max_iter``.
+        Evaluations of psi per element, at most ``MAX_ITER``.
     status : ndarray
         SOLVED, AT_BOUND (the root lies within 10 beta_tol of a bound or
-        beyond it) or NOT_CONVERGED (``max_iter`` ran out).
+        beyond it) or NOT_CONVERGED (``MAX_ITER`` ran out).
     """
     target = np.asarray(log_geo_means, dtype=np.float64) - math.log(a)
     n = target.size
@@ -142,7 +150,7 @@ def solve_betas(log_geo_means, a, config=DEFAULT_MLE_CONFIG):
     converged = np.zeros(n, dtype=bool)
     xtol = 0.25 * config.beta_tol
     live = np.arange(n)
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if live.size == 0:
             break
         x = s[live]
@@ -198,14 +206,14 @@ def fit_beta(stat, a, config=DEFAULT_MLE_CONFIG):
         If the data cannot identify beta (tail too small, or all data
         equal to the cutoff so the likelihood is unbounded).
     ConvergenceError
-        If the solver exhausts ``max_iter`` or the maximum sits at a
+        If the solver exhausts ``MAX_ITER`` or the maximum sits at a
         search bound (a bound hit is reported, never silently clamped).
     """
     check_identifiable(stat, a)
     beta, iterations, status = solve_betas([stat.log_geo_mean], a, config)
     beta = float(beta[0])
     if status[0] == NOT_CONVERGED:
-        raise ConvergenceError(f"no convergence within {config.max_iter} iterations")
+        raise ConvergenceError(f"no convergence within {MAX_ITER} iterations")
     if status[0] == AT_BOUND:
         raise ConvergenceError(
             f"maximum at search bound (beta={beta:.6g}, bounds={config.beta_bounds})"

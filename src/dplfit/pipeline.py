@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distribution import PowerLawModel, at_cutoff, log_geo_means, sufficient_stat
+from .distribution import PowerLawModel, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
@@ -174,8 +174,13 @@ def _tabulate(n_a, rows):
 
 def _attempt(params, n_a, starts, mle_config):
     """Draw, refit and measure the replicas of start states ``starts``: one
-    ``solve_betas`` and one ``ks_distances`` call.  Returns which of them
-    solved and those ones' KS distances.
+    ``solve_betas`` and one ``ks_distances`` call over all of them.  Returns
+    which of them solved and those ones' KS distances.
+
+    A replica whose values all equal the cutoff has its root past the upper
+    bound and comes back AT_BOUND, so it needs no test of its own; each
+    replica is measured independently of the others, so measuring the
+    unsolved ones changes no solved replica's distance.
 
     The replicas are drawn and tabulated (``_tabulate``) a unit of about
     ``_UNIT`` variates at a time; only ``_tabulate`` holds a unit's rows,
@@ -185,16 +190,10 @@ def _attempt(params, n_a, starts, mle_config):
     unit = max(1, _UNIT // n_a)
     parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
              for lo in range(0, len(starts), unit)]
-    log_g, values, above, lengths = (
-        parts[0] if len(parts) == 1 else [np.concatenate(arrays) for arrays in zip(*parts)])
-    fit = np.flatnonzero(~at_cutoff(log_g, a))
-    beta, _, status = solve_betas(log_g[fit], a, mle_config)
-    solved = np.zeros(len(starts), dtype=bool)
-    solved[fit[status == SOLVED]] = True
-    if not solved.all():
-        keep = np.repeat(solved, lengths)
-        values, above, lengths = values[keep], above[keep], lengths[solved]
-    return solved, ks_distances(beta[status == SOLVED] + 1.0, a, values, above, lengths)
+    log_g, values, above, lengths = [np.concatenate(arrays) for arrays in zip(*parts)]
+    beta, _, status = solve_betas(log_g, a, mle_config)
+    solved = status == SOLVED
+    return solved, ks_distances(beta + 1.0, a, values, above, lengths)[solved]
 
 
 # A cutoff's precondition errors: ``fit_at_a`` raises them, ``scan`` skips it.

@@ -115,12 +115,14 @@ def scaled_zeta(s, a, derivatives=False, rows=None):
     is 1 when M = 0.  With ``derivatives`` the result is the triple
     (Z, dZ/ds, d2Z/ds2), each term differentiated in closed form.
 
-    With ``rows``, ``s`` is a 1-d array of exponents and element i is
-    Z(s[rows[i]], a[i]), over the broadcast of ``rows`` and ``a``; without
-    it each element of the broadcast of ``s`` and ``a`` is its own
-    exponent.  What depends on the exponent alone, N0(s) and the
-    corrections' coefficients, is computed once per exponent, and the
-    corrections are summed by Horner's rule in 1/N^2.
+    Element i is Z(s[rows[i]], a[i]), over the broadcast of ``rows`` and
+    ``a``, with ``s`` an array of exponents taken flat.  ``rows`` defaults
+    to the index of each element of ``s`` in its own shape, so that each
+    element of the broadcast of ``s`` and ``a`` is its own exponent and a
+    scalar ``s`` is one exponent for every element.  What depends on the
+    exponent alone, N0(s) and the corrections' coefficients, is computed
+    once per exponent, and the corrections are summed by Horner's rule in
+    1/N^2.
 
     An element's head count depends on its own (s, a) only, every
     operation is elementwise and the terms are added in a fixed order, so
@@ -129,16 +131,12 @@ def scaled_zeta(s, a, derivatives=False, rows=None):
     The arguments are not validated, except that an element needing more
     than ``MAX_HEAD_TERMS`` head terms raises ``ValueError``.
     """
-    if rows is None and np.ndim(s) == 0:
-        s, rows = [s], 0  # one exponent for every element
+    s = np.asarray(s, dtype=np.float64)
     if rows is None:
-        shape = np.broadcast_shapes(np.shape(s), np.shape(a))
-        s = np.broadcast_to(np.asarray(s, dtype=np.float64), shape).ravel()
-        rows = slice(None)
-    else:
-        shape = np.broadcast_shapes(np.shape(rows), np.shape(a))
-        rows = np.broadcast_to(rows, shape).ravel()
-        s = np.asarray(s, dtype=np.float64).ravel()
+        rows = np.arange(s.size).reshape(s.shape)
+    shape = np.broadcast_shapes(np.shape(rows), np.shape(a))
+    rows = np.broadcast_to(rows, shape).ravel()
+    s = s.ravel()
     a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()
     # em_start overflows from s ~ 1e307; from 1e300 up every cutoff below
     # 2^63 needs more head terms than the cap, so the clamp changes no count

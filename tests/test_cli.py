@@ -636,6 +636,35 @@ def test_fits_over_the_accepted_box_are_finite_or_typed_errors(
         assert stderr.getvalue().count("\n") == 1
 
 
-def test_cli_import_needs_no_scipy():
+def test_cli_import_needs_no_scipy(tmp_path):
     code = "import dplfit.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    # the runtime needs only numpy: every command runs in a process where
+    # the test-only packages cannot be imported
+    rng = np.random.default_rng(3)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{v}\n" for v in rng.zipf(2.13, 400).tolist()), encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat and the dog and the bird\n" * 20, encoding="utf-8")
+    commands = [
+        ["fit", str(data), "--a", "1", "--nsim", "100", "--out", str(tmp_path / "fit.json")],
+        ["scan", str(data), "--nsim", "100", "--workers", "2",
+         "--out", str(tmp_path / "scan.json")],
+        ["curves", str(data), "--a", "1", "--out", str(tmp_path / "curves.tsv")],
+        ["tokenize", str(corpus), "--out", str(tmp_path / "tokens.tsv")],
+    ]
+    child = textwrap.dedent("""
+        import contextlib, io, json, sys
+        for name in ("scipy", "mpmath", "sympy", "hypothesis", "pytest"):
+            sys.modules[name] = None  # an import of it raises ImportError
+        import dplfit.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [dplfit.cli.main(argv) for argv in json.loads(sys.argv[1])]
+        print(json.dumps(codes))
+    """)
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0, 0]
+    for name in ("fit.json", "scan.json", "curves.tsv", "tokens.tsv"):
+        assert (tmp_path / name).stat().st_size > 0

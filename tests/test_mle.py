@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,13 +101,14 @@ def test_deterministic():
     assert a == b
 
 
-def test_iteration_budget_exhaustion():
+def test_iteration_budget_exhaustion(monkeypatch):
     # the table start is within about 1e-7 of the root, so one evaluation
     # meets the default tolerance; a far tighter one needs a second
     stat = sufficient_stat(IntegerSample([1, 2, 4, 9]))
     assert fit_beta(stat, 1, MleConfig(beta_tol=1e-12)).iterations > 1
+    monkeypatch.setattr(mle, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="no convergence within 1 iterations"):
-        fit_beta(stat, 1, MleConfig(beta_tol=1e-12, max_iter=1))
+        fit_beta(stat, 1, MleConfig(beta_tol=1e-12))
 
 
 def test_config_validation():
@@ -176,6 +178,23 @@ def test_roots_take_one_evaluation_or_two_near_the_upper_bound(a):
     assert np.all(iterations <= 2)
     assert np.all(iterations[beta < 2.0] == 1)
     assert np.all(np.abs(got[solved] - beta[solved]) <= MleConfig().beta_tol / 4)
+
+
+@pytest.mark.parametrize("a,hi", [(1, 1074.0), (1, 1.8e4 - 1), (2, 2000.0), (10, 8000.0)])
+def test_upper_bounds_past_the_underflow_of_t(a, hi):
+    # t = psi(s, a) - ln a underflows to 0 past s ~ 1075 at a = 1 (later at
+    # larger a), where the start table's nodes are dropped: roots come out
+    # as with the default bounds, and a target of 0 still lies past hi
+    beta = np.array([1e-3, 0.087, 1.087, 3.0, 30.0])
+    targets = _targets(beta, a) + math.log(a)
+    mle._start_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, status = solve_betas(np.append(targets, math.log(a)), a,
+                                     MleConfig(beta_bounds=(1e-4, hi)))
+    assert np.all(status[:-1] == SOLVED) and status[-1] == AT_BOUND
+    want, _, _ = solve_betas(targets, a)
+    assert np.all(np.abs(got[:-1] - want) <= MleConfig().beta_tol / 4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,10 +11,16 @@ import pytest
 
 import dplfit.sampling
 from dplfit import pipeline
-from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
+from dplfit.distribution import (
+    IntegerSample,
+    PowerLawModel,
+    at_cutoff,
+    log_geo_means,
+    sufficient_stat,
+)
 from dplfit.errors import ConvergenceError, TailTooLargeError
 from dplfit.ks import ks_statistic
-from dplfit.mle import DEFAULT_MLE_CONFIG, MleConfig, fit_beta
+from dplfit.mle import AT_BOUND, DEFAULT_MLE_CONFIG, SOLVED, MleConfig, fit_beta, solve_betas
 from dplfit.pipeline import (
     ScanConfig,
     _seed_for_cutoff,
@@ -388,6 +394,21 @@ def test_degenerate_replicas_are_regenerated_and_counted():
     # regeneration is deterministic too
     again = fit_at_a(data, 1, 100, seed=13)
     assert fit == again
+
+
+@pytest.mark.parametrize("a", [1, 2, 10**3, 2**62])
+def test_refit_alone_sorts_out_replicas_at_the_cutoff(a):
+    # a block's replicas are all refit, with no test for values all at the
+    # cutoff: such a replica's root lies past the upper bound
+    for n_a in [2, 10, 10**6]:
+        log_g, *_ = pipeline._tabulate(n_a, np.full((3, n_a), a, dtype=np.int64))
+        assert np.all(solve_betas(log_g, a)[2] == AT_BOUND)
+    # one value a + 1 among N_a: no replica that fit_beta's at_cutoff test
+    # would refuse is solved (at a = 1 that takes N_a >= 6.9e11)
+    for n_a in [2, 10, 10**4, 10**6, 10**8]:
+        log_g = log_geo_means(np.array([a, a + 1]), np.array([n_a - 1, 1]), [0], n_a)
+        solved = solve_betas(log_g, a)[2] == SOLVED
+        assert not np.any(solved & at_cutoff(log_g, a))
 
 
 def test_fit_flags_replicas_biased_by_the_proposal_cap():

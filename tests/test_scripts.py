@@ -1,7 +1,8 @@
-"""The experiment scripts under scripts/ run against the library as it is:
-each runs once as a fresh process, on tiny arguments, with warnings as
-errors.  scripts/fetch_novel.py needs network access and is left out."""
+"""The scripts under scripts/ run against the library as it is: each runs
+once as a fresh process, on tiny arguments, with warnings as errors.
+scripts/fetch_novel.py needs network access and is left out."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "scripts" / script),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize("script,args,summary", [
     ("calibration_selfconsistency.py", "--reps 4 --n 500 --nsim 100 --workers 2",
      r"rejection rate at p <= 0\.05: \d\.\d{4} \(99% band around 0\.05: "),
@@ -20,13 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
      r"a\*=1 in [01]/1 repetitions \(rate "),
 ])
 def test_experiment_script_runs(script, args, summary):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "scripts" / script),
-                           *args.split()], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script(script, *args.split())
     assert re.search(summary, proc.stdout), proc.stdout
     band = re.search(r"band around [\d.]+: \[(\S+), (\S+)\]", proc.stdout)
     if band:
@@ -35,3 +41,13 @@ def test_experiment_script_runs(script, args, summary):
         low, high = map(float, band.groups())
         assert 0.0 <= low <= 0.05 <= high <= 1.0
         assert (low, high) == (0.0, 0.5)
+
+
+def test_report_digests_prints_each_output_digest(tmp_path):
+    proc = run_script("report_digests.py", "--workload", "large_tail_fit", "--seeds", "1",
+                      "--work", str(tmp_path))
+    (line,) = proc.stdout.splitlines()
+    workload, seed, name, digest = line.split()
+    assert (workload, seed) == ("large_tail_fit", "1")
+    report = tmp_path / "large_tail_fit" / name
+    assert digest == hashlib.sha256(report.read_bytes()).hexdigest()

@@ -144,20 +144,23 @@ def test_batch_matches_one_at_a_time_across_budgets():
 @pytest.mark.parametrize("derivatives", [False, True])
 def test_rows_index_exponents_bit_for_bit(derivatives):
     # element i of scaled_zeta(s, a, rows=r) is the kernel at s[r[i]],
-    # whatever other elements share its exponent, and a scalar exponent
-    # is one exponent for every element
+    # whatever other elements share its exponent; an array s is one
+    # exponent an element and a scalar s one exponent for every element;
+    # every way gives each element what a call of its own scalars gives
     rng = np.random.default_rng(5)
     s = np.array([1.0001, 1.13, 2.13, 5.0, 51.0])
     rows = rng.integers(0, s.size, 400)
     a = np.concatenate([np.arange(1.0, 201.0), np.floor(np.geomspace(201, 2.0**62, 200))])
     # with derivatives, the (Z, Z', Z'') triple as one (3, n) array
-    got = np.asarray(scaled_zeta(s, a, derivatives, rows=rows))
-    assert np.array_equal(got, np.asarray(scaled_zeta(s[rows], a, derivatives)))
+    alone = np.array([scaled_zeta(float(s[r]), float(x), derivatives)
+                      for r, x in zip(rows, a)]).T
+    assert np.array_equal(scaled_zeta(s, a, derivatives, rows=rows), alone)
+    assert np.array_equal(scaled_zeta(s[rows], a, derivatives), alone)
     assert np.array_equal(scaled_zeta(s, 7.0, derivatives, rows=[[4, 0], [2, 2]]),
                           scaled_zeta(s[[[4, 0], [2, 2]]], 7.0, derivatives))
     for i in range(s.size):
-        assert np.array_equal(scaled_zeta(s[i], a, derivatives),
-                              scaled_zeta(np.full(a.size, s[i]), a, derivatives))
+        one = np.array([scaled_zeta(s[i], float(x), derivatives) for x in a]).T
+        assert np.array_equal(scaled_zeta(s[i], a, derivatives), one)
 
 
 def test_correction_term_closed_form():
