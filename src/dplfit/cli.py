@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .distribution import IntegerSample, PowerLawModel, sufficient_stat
 from .errors import DplfitError, ParseError
-from .mle import DEFAULT_MLE_CONFIG, fit_beta
+from .mle import MleConfig, fit_beta
 from .pipeline import ScanConfig, _seed_for_cutoff, fit_at_a, scan
 from .sampling import RNG_ALGORITHM
 
@@ -424,7 +424,7 @@ def build_parser():
     p_curves = sub.add_parser("curves", help="emit empirical vs fitted curves (TSV)")
     _add_input_args(p_curves)
     p_curves.add_argument("--a", type=_int_at_least(1), required=True, help="lower cutoff")
-    low, high = DEFAULT_MLE_CONFIG.beta_bounds  # the exponents a fit can return
+    low, high = MleConfig.beta_bounds  # the exponents a fit can return
     p_curves.add_argument("--beta", type=_float_where(lambda b: low <= b <= high,
                                                    f"in [{low:g}, {high:g}]"),
                           help="exponent; fitted by maximum likelihood if omitted")

@@ -16,6 +16,7 @@ everything runs in the calling process.
 """
 
 import concurrent.futures
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 from .distribution import PowerLawModel, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
-from .mle import DEFAULT_MLE_CONFIG, SOLVED, fit_beta, solve_betas
+from .mle import SOLVED, fit_beta, solve_betas
 from .sampling import SamplerParams, replica_stream, sample_rows, stream_starts
 
 # Replicas are refit and measured in blocks of about this many distinct
@@ -68,7 +69,8 @@ class ScanConfig:
 
     ``a_values`` of None means every distinct sample value, from the
     minimum up, for as long as the tail keeps at least ``min_tail``
-    observations.  Each replica gets its own RNG substream derived from
+    observations; given cutoffs must be whole numbers, strictly
+    increasing.  Each replica gets its own RNG substream derived from
     (seed, a, replica index), so growing n_sim extends the ensemble
     without reshuffling it, and ``workers`` changes no result.
     """
@@ -90,7 +92,7 @@ class ScanConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.a_values is not None:
-            a_values = tuple(int(a) for a in self.a_values)
+            a_values = tuple(int(_whole(a)) for a in self.a_values)
             if any(x >= y for x, y in zip(a_values, a_values[1:])):
                 raise ValueError("a_values must be strictly increasing")
             if a_values and a_values[0] < 1:
@@ -105,6 +107,14 @@ class ScanResult:
     a_star: int = None
     beta_star: float = None
     sigma_star: float = None
+
+
+def _whole(a):
+    """Cutoff ``a`` if it is a whole number, of any numeric type (2,
+    np.int64(2) and 2.0 all are); else ``ValueError``."""
+    if not (isinstance(a, numbers.Integral) or float(a).is_integer()):
+        raise ValueError(f"cutoff {a} is not a whole number")
+    return a
 
 
 def _seed_for_cutoff(seed, a):
@@ -172,7 +182,7 @@ def _tabulate(n_a, rows):
     return log_g, values, n_a - at % n_a, distinct
 
 
-def _attempt(params, n_a, starts, mle_config):
+def _attempt(params, n_a, starts):
     """Draw, refit and measure the replicas of start states ``starts``: one
     ``solve_betas`` and one ``ks_distances`` call over all of them.  Returns
     which of them solved and those ones' KS distances.
@@ -191,7 +201,7 @@ def _attempt(params, n_a, starts, mle_config):
     parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
              for lo in range(0, len(starts), unit)]
     log_g, values, above, lengths = [np.concatenate(arrays) for arrays in zip(*parts)]
-    beta, _, status = solve_betas(log_g, a, mle_config)
+    beta, _, status = solve_betas(log_g, a)
     solved = status == SOLVED
     return solved, ks_distances(beta + 1.0, a, values, above, lengths)[solved]
 
@@ -207,10 +217,10 @@ def _job(task):
     hashes each 256-id key block once).  Returns (N_a, the fit, d_emp, the
     lost mass, the distances, the regenerations) or the precondition error
     raised; stops once the regenerations pass the budget of 100 n_sim."""
-    sample, a, n_sim, seed, mle_config, lo, hi = task
+    sample, a, n_sim, seed, lo, hi = task
     try:
         tail = sample.truncated(a)
-        mle = fit_beta(sufficient_stat(tail), a, mle_config)
+        mle = fit_beta(sufficient_stat(tail), a)
         d_emp = ks_statistic(tail, PowerLawModel(a, mle.beta_emp)).d
         params = SamplerParams(a, mle.beta_emp)
         block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
@@ -221,8 +231,7 @@ def _job(task):
             starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
             unsolved = []
             for ids in np.array_split(todo, -(-todo.size // block)):
-                solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)),
-                                     mle_config)
+                solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)))
                 d_sims[ids[solved] - lo] = d
                 unsolved.append(ids[~solved])
             todo = np.concatenate(unsolved)
@@ -233,7 +242,7 @@ def _job(task):
     return tail.size, mle, d_emp, params.lost_mass, d_sims, regenerated
 
 
-def _fits(sample, cutoffs, n_sim, mle_config, workers, keep_d_sims=False):
+def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     """Fit ``sample`` at each (a, seed) of ``cutoffs`` with ``n_sim``
     replicas: a list of each cutoff's ``FitAtA`` or precondition error.
 
@@ -254,7 +263,7 @@ def _fits(sample, cutoffs, n_sim, mle_config, workers, keep_d_sims=False):
     fits = []
     with _processes(workers) as (mapped, workers):
         splits = [max(1, min(n_sim, -(-workers * w // max(total, 1)))) for w in work]
-        tasks = [(sample, a, n_sim, seed, mle_config, n_sim * j // k, n_sim * (j + 1) // k)
+        tasks = [(sample, a, n_sim, seed, n_sim * j // k, n_sim * (j + 1) // k)
                  for (a, seed), k in zip(cutoffs, splits) for j in range(k)]
         results = mapped(_job, tasks)
         for (a, _), k in zip(cutoffs, splits):
@@ -275,8 +284,7 @@ def _fits(sample, cutoffs, n_sim, mle_config, workers, keep_d_sims=False):
     return fits
 
 
-def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
-             keep_d_sims=False):
+def fit_at_a(sample, a, n_sim, seed, keep_d_sims=False):
     """Steps 1-7 at a fixed cutoff.
 
     Fit beta on the tail, measure the KS distance, then simulate ``n_sim``
@@ -285,9 +293,12 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     p-value is the fraction of replicas whose distance strictly exceeds
     the empirical one.
 
+    ``a`` must be a whole number.  Beta is fitted in the solver's fixed box
+    ``MleConfig.beta_bounds``, for the sample and its replicas alike.
+
     Replica i is drawn from substream ``replica_stream(i, attempt)``.  A
-    replica whose refit is degenerate or fails to converge is regenerated
-    at the next attempt; regenerations are counted and more than 1% of
+    replica whose refit lands on the box's bound or fails to converge is
+    regenerated at the next attempt; regenerations are counted and more than 1% of
     them marks the result unreliable, as does a fitted exponent at which
     the sampler's 2^63 cap drops more than ``LOST_MASS_LIMIT`` of the
     proposal mass, and more than 100 n_sim of them raise
@@ -298,9 +309,10 @@ def fit_at_a(sample, a, n_sim, seed, mle_config=DEFAULT_MLE_CONFIG,
     returns.  Each replica's result depends only on (seed, i, attempt), not
     on the units, blocks or processes or other replicas' regenerations.
     """
+    _whole(a)
     if n_sim < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
-    (fit,) = _fits(sample, [(a, seed)], n_sim, mle_config, 1, keep_d_sims)
+    (fit,) = _fits(sample, [(a, seed)], n_sim, 1, keep_d_sims)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -333,7 +345,7 @@ def scan(sample, config=ScanConfig()):
         a_values = default_cutoffs(sample, config.min_tail)
 
     cutoffs = [(a, _seed_for_cutoff(config.seed, a)) for a in a_values]
-    results = _fits(sample, cutoffs, config.n_sim, DEFAULT_MLE_CONFIG, config.workers)
+    results = _fits(sample, cutoffs, config.n_sim, config.workers)
     fits = [fit for fit in results if not isinstance(fit, Exception)]
     skipped = [(int(a), f"{type(err).__name__}: {err}")
                for a, err in zip(a_values, results) if isinstance(err, Exception)]

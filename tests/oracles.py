@@ -198,7 +198,7 @@ def variates_one_at_a_time(params, count, rng):
     return np.sort(accepted_in_order(params, count, rng)[0])
 
 
-def replica_one_at_a_time(beta_emp, a, n_a, seed, i, config):
+def replica_one_at_a_time(beta_emp, a, n_a, seed, i):
     """Replica i of a fit: drawn from substream ``replica_stream(i,
     attempt)`` one attempt at a time, refit alone by ``fit_beta`` and
     measured alone by ``ks_statistic``.  Returns (attempt, distance)."""
@@ -208,7 +208,7 @@ def replica_one_at_a_time(beta_emp, a, n_a, seed, i, config):
         rng = RngStream(seed, replica_stream(i, attempt))
         sim = IntegerSample(variates_one_at_a_time(params, n_a, rng))
         try:
-            beta = fit_beta(sufficient_stat(sim), a, config).beta_emp
+            beta = fit_beta(sufficient_stat(sim), a).beta_emp
         except (DegenerateDataError, ConvergenceError):
             attempt += 1
             continue

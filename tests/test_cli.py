@@ -601,10 +601,10 @@ def test_cli_fit_with_the_largest_int64_value(tmp_path):
        n=st.integers(2, 200), seed=st.integers(0, 2**32))
 def test_fits_over_the_accepted_box_are_finite_or_typed_errors(
         tmp_path_factory, a, log_beta, n, seed):
-    # every (a, beta) the command line and MleConfig accept, drawn from the
-    # sampler and fitted both in-process and through `dplfit fit` on a
-    # counts file of the same data, warnings as errors: a finite result
-    # or a typed error, never a traceback
+    # every (a, beta) the command line accepts and the solver's box holds,
+    # drawn from the sampler and fitted both in-process and through `dplfit
+    # fit` on a counts file of the same data, warnings as errors: a finite
+    # result or a typed error, never a traceback
     f = tmp_path_factory.getbasetemp() / "box.counts"
     out = f.with_suffix(".json")
     with warnings.catch_warnings():

@@ -105,21 +105,11 @@ def test_iteration_budget_exhaustion(monkeypatch):
     # the table start is within about 1e-7 of the root, so one evaluation
     # meets the default tolerance; a far tighter one needs a second
     stat = sufficient_stat(IntegerSample([1, 2, 4, 9]))
-    assert fit_beta(stat, 1, MleConfig(beta_tol=1e-12)).iterations > 1
+    monkeypatch.setattr(MleConfig, "beta_tol", 1e-12)
+    assert fit_beta(stat, 1).iterations > 1
     monkeypatch.setattr(mle, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="no convergence within 1 iterations"):
-        fit_beta(stat, 1, MleConfig(beta_tol=1e-12))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MleConfig(beta_bounds=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        MleConfig(beta_tol=0.0)
-    # the bracket's lower end beta + 1 must lie in the kernel's domain s > 1
-    with pytest.raises(ValueError, match="resolution of beta"):
-        MleConfig(beta_bounds=(1e-300, 50.0))
-    assert MleConfig(beta_bounds=(1e-15, 50.0)).beta_bounds[0] == 1e-15
+        fit_beta(stat, 1)
 
 
 @pytest.mark.parametrize("a", [1, 2, 7, 100, 10**4, 10**6])
@@ -180,28 +170,26 @@ def test_roots_take_one_evaluation_or_two_near_the_upper_bound(a):
     assert np.all(np.abs(got[solved] - beta[solved]) <= MleConfig().beta_tol / 4)
 
 
-@pytest.mark.parametrize("a,hi", [(1, 1074.0), (1, 1.8e4 - 1), (2, 2000.0), (10, 8000.0)])
-def test_upper_bounds_past_the_underflow_of_t(a, hi):
-    # t = psi(s, a) - ln a underflows to 0 past s ~ 1075 at a = 1 (later at
-    # larger a), where the start table's nodes are dropped: roots come out
-    # as with the default bounds, and a target of 0 still lies past hi
-    beta = np.array([1e-3, 0.087, 1.087, 3.0, 30.0])
-    targets = _targets(beta, a) + math.log(a)
+@pytest.mark.parametrize("a", [1, 2, 3, 10, 10**3, 10**9, 2**62])
+def test_start_table_spans_the_box_at_every_cutoff(a):
+    # over the fixed box t = psi(s, a) - ln a and its slope stay finite and
+    # positive at every cutoff, so the table keeps all its nodes, ascending
+    # in ln t, and its end at small t is beta = 50 exactly
     mle._start_table.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, _, status = solve_betas(np.append(targets, math.log(a)), a,
-                                     MleConfig(beta_bounds=(1e-4, hi)))
-    assert np.all(status[:-1] == SOLVED) and status[-1] == AT_BOUND
-    want, _, _ = solve_betas(targets, a)
-    assert np.all(np.abs(got[:-1] - want) <= MleConfig().beta_tol / 4)
+        x, y, dydx = mle._start_table(float(a))
+    assert x.size == mle._TABLE_NODES
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(dydx))
+    assert np.all(np.diff(x) > 0)
+    assert MleConfig.beta_bounds[1] == 50.0 and y[0] == np.log(50.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.integers(1, 2**62), log_beta=st.floats(math.log(1e-4), math.log(50.0)))
 def test_table_start_is_near_the_root(a, log_beta):
     target = _targets([math.exp(log_beta)], a)
-    start = mle._start(target, a, MleConfig().beta_bounds) - 1.0
+    start = mle._start(target, a) - 1.0
     beta, _, status = solve_betas(target + math.log(a), a)
     assert abs(start[0] - beta[0]) <= 1e-6 * beta[0], (a, log_beta, status)
 

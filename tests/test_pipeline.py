@@ -20,7 +20,7 @@ from dplfit.distribution import (
 )
 from dplfit.errors import ConvergenceError, TailTooLargeError
 from dplfit.ks import ks_statistic
-from dplfit.mle import AT_BOUND, DEFAULT_MLE_CONFIG, SOLVED, MleConfig, fit_beta, solve_betas
+from dplfit.mle import AT_BOUND, SOLVED, fit_beta, solve_betas
 from dplfit.pipeline import (
     ScanConfig,
     _seed_for_cutoff,
@@ -137,7 +137,7 @@ def first_block(data, a, n_sim, seed, workers):
     job = np.arange(n_sim // min(n_sim, workers))
     ids = np.array_split(job, -(-job.size // block))[0]
     starts = list(stream_starts(seed, replica_stream(ids, 0)))
-    return SamplerParams(a, beta), tail.size, starts, DEFAULT_MLE_CONFIG
+    return SamplerParams(a, beta), tail.size, starts
 
 
 def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
@@ -203,7 +203,7 @@ def never_solving(seed, replicas, attempts):
     stuck = {start for k in range(attempts)
              for start in stream_starts(seed, replica_stream(replicas, k))}
 
-    def never_solved(params, n_a, starts, mle_config):
+    def never_solved(params, n_a, starts):
         solved = np.array([start not in stuck for start in starts])
         return solved, np.zeros(np.count_nonzero(solved))
 
@@ -214,10 +214,10 @@ def never_solving(seed, replicas, attempts):
 def test_processes_change_no_result(monkeypatch, processes):
     data = power_law_data(1.2, 200, seed=31)
     default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
-    # narrow bounds make many replicas regenerate, as in the test above
-    tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_bounds=(1.0, 3.0))
-    regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    # a replica of this tail whose values are all 1 lands on the bound and
+    # is regenerated (16 of 100)
+    tiny = IntegerSample([1] * 11 + [2] * 2)
+    regenerating = fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True)
     assert regenerating.regenerated > 10
     scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
     serial_scan = scan(data, scan_config)
@@ -235,8 +235,7 @@ def test_processes_change_no_result(monkeypatch, processes):
             with_pass_sizes(monkeypatch, size)
             monkeypatch.setattr(pipeline, "_UNIT", min(size, 64))
         assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
-        assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
-                        keep_d_sims=True) == regenerating
+        assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
         assert scan(data, scan_config) == serial_scan
     # the retry budget counts the regenerations of all of a fit's slices:
     # the 100 replicas stuck for 301 attempts pass 100 n_sim = 30000
@@ -249,10 +248,9 @@ def test_processes_change_no_result(monkeypatch, processes):
 @pytest.mark.parametrize("processes", [2, 3])
 def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, processes):
     data = power_law_data(1.2, 200, seed=31)
-    tiny = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_bounds=(1.0, 3.0))
+    tiny = IntegerSample([1] * 11 + [2] * 2)
     serial = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
-    regenerating = fit_at_a(tiny, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    regenerating = fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True)
     assert regenerating.regenerated > 10
     # each block sleeps the longer the earlier its first replica, so the
     # slices of a fit, one block each, finish in reverse order; the pool's
@@ -262,10 +260,10 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, processes):
     queue = multiprocessing.get_context("fork").SimpleQueue()
     attempt = pipeline._attempt
 
-    def slow_early_blocks(params, n_a, starts, mle_config):
+    def slow_early_blocks(params, n_a, starts):
         i = first[starts[0]]
         time.sleep(0.002 * (300 - i) / processes)
-        result = attempt(params, n_a, starts, mle_config)
+        result = attempt(params, n_a, starts)
         queue.put((i, os.getpid()))
         return result
 
@@ -281,8 +279,7 @@ def test_blocks_finishing_out_of_order_change_no_result(monkeypatch, processes):
     assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == serial
     order = finished()
     assert order[:processes] == sorted(order[:processes], reverse=True)
-    assert fit_at_a(tiny, 1, 100, seed=21, mle_config=config,
-                    keep_d_sims=True) == regenerating
+    assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
     order = finished()
     assert order != sorted(order)
 
@@ -294,10 +291,10 @@ def test_errors_in_one_block_propagate(monkeypatch):
     replica_0 = set(stream_starts(8, [replica_stream(0, k) for k in range(400)]))
     attempt = pipeline._attempt
 
-    def too_large(params, n_a, starts, mle_config):
+    def too_large(params, n_a, starts):
         if replica_0.intersection(starts):
             raise TailTooLargeError("first block")
-        return attempt(params, n_a, starts, mle_config)
+        return attempt(params, n_a, starts)
 
     # every third replica fails at each of its attempts: the 100 of them
     # regenerate 100 times an attempt and pass the budget of 100 n_sim =
@@ -335,6 +332,24 @@ def test_fit_at_a_rejects_no_replicas():
             fit_at_a(data, 1, n_sim, seed=8)
 
 
+def test_cutoffs_must_be_whole_numbers():
+    # a cutoff of 1.5 once fitted the tail >= 2 with the model and sampler
+    # at 1.5 (beta 0.804, p 1.0) and was reported as a = 1
+    data = power_law_data(1.2, 500, seed=3)
+    for a in (1.5, np.float64(2.7), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"cutoff {a} is not a whole number"):
+            fit_at_a(data, a, 100, 0)
+    for a_values in ((1.5,), (1, 2.7), (1, np.float64(2.5))):
+        with pytest.raises(ValueError, match=f"cutoff {a_values[-1]} is not a whole number"):
+            ScanConfig(a_values=a_values)
+    # a whole number of any numeric type is the cutoff it equals
+    fit = fit_at_a(data, 2, 100, 0)
+    assert (fit.a, fit.beta_emp, fit.p.p) == (2, 1.1478738566618825, 0.12)
+    for a in (np.int64(2), 2.0, np.float64(2.0)):
+        assert fit_at_a(data, a, 100, 0) == fit
+    assert ScanConfig(a_values=(np.int64(1), 2.0, np.float64(3.0))).a_values == (1, 2, 3)
+
+
 @pytest.mark.parametrize("beta,n,a,seed", [
     (1.3, 60, 2, 0),             # one group of all 100 replicas
     (1.1, 4000, 1, 2**63 + 11),  # one replica a group, its batch in one pass
@@ -345,30 +360,29 @@ def test_fit_at_a_equals_one_replica_at_a_time(beta, n, a, seed):
     # the distance it has when drawn, refit and measured alone: bit for bit
     data = power_law_data(beta, n, seed=43)
     fit = fit_at_a(data, a, 100, seed=seed, keep_d_sims=True)
-    ref = [replica_one_at_a_time(fit.beta_emp, a, fit.n_a, seed, i, DEFAULT_MLE_CONFIG)
+    ref = [replica_one_at_a_time(fit.beta_emp, a, fit.n_a, seed, i)
            for i in range(100)]
     assert fit.d_sims == tuple(d for _, d in ref)
     assert fit.regenerated == sum(attempt for attempt, _ in ref)
 
 
 def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):
-    # Narrow bounds force bound hits on top of degenerate replicas, so many
-    # replicas are regenerated; each must still be the first good attempt
-    # of its own substreams, whatever failed before it.
-    data = IntegerSample([1] * 9 + [2] * 3 + [3, 5])
-    config = MleConfig(beta_bounds=(1.0, 3.0))
-    fit = fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True)
+    # A replica whose values all equal the cutoff lands on the bound, so
+    # many replicas of this tail are regenerated; each must still be the
+    # first good attempt of its own substreams, whatever failed before it.
+    data = IntegerSample([1] * 11 + [2] * 2)
+    fit = fit_at_a(data, 1, 100, seed=21, keep_d_sims=True)
     attempts = []
     for i in range(100):
-        attempt, d = replica_one_at_a_time(fit.beta_emp, 1, fit.n_a, 21, i, config)
+        attempt, d = replica_one_at_a_time(fit.beta_emp, 1, fit.n_a, 21, i)
         assert d == fit.d_sims[i]
         attempts.append(attempt)
     assert fit.regenerated == sum(attempts) > 10
-    longer = fit_at_a(data, 1, 160, seed=21, mle_config=config, keep_d_sims=True)
+    longer = fit_at_a(data, 1, 160, seed=21, keep_d_sims=True)
     assert longer.d_sims[:100] == fit.d_sims
     for size in PASS_SIZES:
         with_pass_sizes(monkeypatch, size)
-        assert fit_at_a(data, 1, 100, seed=21, mle_config=config, keep_d_sims=True) == fit
+        assert fit_at_a(data, 1, 100, seed=21, keep_d_sims=True) == fit
 
 
 def test_no_exact_ties_between_replicas_and_data():
@@ -433,7 +447,7 @@ def test_fit_at_a_huge_cutoff_and_exponent():
     assert abs(fit.beta_emp - 40.0) < 4 * fit.sigma
     assert fit.reliable
     assert 0.0 < fit.d_emp < 0.2
-    ref = [replica_one_at_a_time(fit.beta_emp, 10**9, fit.n_a, 4, i, DEFAULT_MLE_CONFIG)
+    ref = [replica_one_at_a_time(fit.beta_emp, 10**9, fit.n_a, 4, i)
            for i in range(10)]
     assert fit.d_sims[:10] == tuple(d for _, d in ref)
 
@@ -524,9 +538,9 @@ def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
              for i, start in enumerate(stream_starts(_seed_for_cutoff(5, a),
                                                      replica_stream(np.arange(100), 0)))}
 
-    def recording_pid(params, n_a, starts, mle_config):
+    def recording_pid(params, n_a, starts):
         queue.put((params.a, first.get((params.a, starts[0])), len(starts), os.getpid()))
-        return attempt(params, n_a, starts, mle_config)
+        return attempt(params, n_a, starts)
 
     def recorded():
         runs = []

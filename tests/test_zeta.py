@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dplfit.distribution import PowerLawModel
-from dplfit.mle import MleConfig
 from dplfit.zeta import (
     BERNOULLI_EVEN,
     CORRECTIONS,
@@ -102,10 +101,6 @@ def test_head_count_cap_refuses_huge_exponents_at_once():
         lambda: PowerLawModel(1, 1e7),
         lambda: PowerLawModel(1, 1e300),
         lambda: PowerLawModel(2**62, math.inf),
-        lambda: MleConfig(beta_bounds=(1e-4, 1e7)),
-        lambda: MleConfig(beta_bounds=(1e-4, math.inf)),
-        lambda: MleConfig(beta_bounds=(1e-4, 1e301)),
-        lambda: MleConfig(beta_bounds=(1e-4, 1.9e4)),
     ]
     for call in refused:
         start = time.perf_counter()
@@ -113,11 +108,10 @@ def test_head_count_cap_refuses_huge_exponents_at_once():
             call()
         assert time.perf_counter() - start < 0.25
     # the cap is on an element's head count, not on s: a cutoff above N0
-    # takes none, and the largest bound MleConfig accepts is summed
+    # takes none, and s = 1.8e4 at a = 1 is still summed
     assert em_start(1.8e4) - 1 < MAX_HEAD_TERMS < em_start(1.9e4) - 1
     assert scaled_zeta(1e7, 10**8) == pytest.approx(float(scaled_zeta_mpmath(1e7, 10**8)[0]),
                                                     rel=1e-14)
-    assert MleConfig(beta_bounds=(1e-4, 1.8e4 - 1)).beta_bounds[1] == 1.8e4 - 1
     assert hurwitz_zeta(1.8e4) == 1.0
 
 
