@@ -28,7 +28,6 @@ from .sampling import (
     RngStream,
     SamplerParams,
     accept_test,
-    acceptance_ratio,
     sample_n,
 )
 from .zeta import BERNOULLI_EVEN, hurwitz_zeta
@@ -55,7 +54,6 @@ __all__ = [
     "SufficientStat",
     "TailTooLargeError",
     "accept_test",
-    "acceptance_ratio",
     "default_cutoffs",
     "fit_at_a",
     "fit_beta",

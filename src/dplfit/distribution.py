@@ -70,7 +70,11 @@ class IntegerSample:
         """Sample of the values >= a, multiplicities preserved."""
         if a < 1:
             raise ValueError(f"cutoff must be >= 1, got {a}")
-        start = int(np.searchsorted(self.unique_values, a, side="left"))
+        start = self.unique_values.size
+        # no int64 value reaches a larger cutoff, which searchsorted would
+        # compare in float64, rounded onto the largest values
+        if a <= 2**63 - 1:
+            start = int(np.searchsorted(self.unique_values, a, side="left"))
         if start == self.unique_values.size:
             raise EmptyTailError(
                 f"no values >= {a} (sample maximum is {self.unique_values[-1]})"

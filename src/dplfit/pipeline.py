@@ -17,6 +17,7 @@ everything runs in the calling process.
 
 import concurrent.futures
 import numbers
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -91,6 +92,8 @@ class ScanConfig:
             raise ValueError("min_tail must be >= 2")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.a_values is not None:
             a_values = tuple(int(_whole(a)) for a in self.a_values)
             if any(x >= y for x, y in zip(a_values, a_values[1:])):

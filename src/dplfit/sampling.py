@@ -26,8 +26,8 @@ are one (rows x 2 batch) array of uniforms whose proposals are made and
 tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
 that comes up short, as every row of a tail larger than ``_CHUNK``
 proposals does, goes on alone from the end of its first batch, ``_CHUNK``
-proposals at a time.  ``sample_n`` draws a row from where an
-``RngStream`` stands.
+proposals at a time.  An ``RngStream`` only names a substream, and
+``sample_n`` draws that substream's row of ``sample_rows``.
 """
 
 import math
@@ -101,24 +101,21 @@ def _seek(bitgen, start, skip=0):
         bitgen.advance(skip)
 
 
-@dataclass
+# A class, not a (seed, stream_id) argument pair: bench/tracer.py looks
+# ``dplfit.sampling:RngStream`` up by name, and the scripts, the README and
+# the tests pass ``RngStream(seed, id)`` to ``sample_n``.
+@dataclass(frozen=True)
 class RngStream:
-    """Deterministic uniform source: one (seed, stream_id) pair, one stream."""
+    """The name of substream (seed, stream_id): it holds no generator and
+    has no position, and ``sample_n`` draws its row of ``sample_rows``."""
 
     seed: int
     stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
-        start, = stream_starts(self.seed, [self.stream_id])
-        self._gen = np.random.Generator(np.random.PCG64(0))
-        _seek(self._gen.bit_generator, start)
-
-    def uniform(self, size):
-        """Uniforms on [0, 1)."""
-        return self._gen.random(size)
+        list(stream_starts(self.seed, ()))  # the seed check alone: no substream is keyed
 
 
 @dataclass(frozen=True)
@@ -175,15 +172,6 @@ def accept_test(params, y, v):
     return bool(out) if out.ndim == 0 else out
 
 
-def acceptance_ratio(params, y):
-    """f(y) q(a) / (f(a) q(y)), the exact accept probability of proposal y."""
-    y = np.asarray(y, dtype=np.float64)
-    tau_m1 = np.expm1(params.beta * np.log1p(1.0 / y))
-    ta_m1 = params.ta_minus_1
-    out = (params.a / y) * (ta_m1 / (1.0 + ta_m1)) * ((1.0 + tau_m1) / tau_m1)
-    return float(out) if out.ndim == 0 else out
-
-
 def _batch_size(params, need):
     """Proposals to draw while ``need`` accepts are still wanted: enough for
     ``need`` plus three standard deviations of the accept count at
@@ -204,19 +192,15 @@ def _propose(params, u):
 
 def _fill(params, row, filled, gen):
     """Fill row[filled:] with the next accepted proposals of the stream at
-    ``gen``, at most ``_CHUNK`` proposals a pass, and leave ``gen`` just
-    past the pair of the last one."""
+    ``gen``, at most ``_CHUNK`` proposals a pass: how ``sample_rows`` goes
+    on with a row that its first batch left short."""
     count = row.size
-    while True:
+    while filled < count:
         batch = min(_batch_size(params, count - filled), _CHUNK)
         y, ok = _propose(params, gen.random(2 * batch))
         at = np.flatnonzero(ok)[:count - filled]
         row[filled:filled + at.size] = y[at]
         filled += at.size
-        if filled == count:
-            # a negative advance steps back over the pairs not used
-            gen.bit_generator.advance(2 * (int(at[-1]) + 1 - batch))
-            return
 
 
 def _empty_rows(rows, count):
@@ -233,8 +217,9 @@ def sample_rows(params, count, starts):
     """One row of ``count`` variates, in draw order, per PCG64 start state
     in ``starts``: a (len(starts) x count) array.
 
-    Row i holds the first ``count`` accepts of ``RngStream(seed, id_i)``
-    when start i is the ``stream_starts`` of (seed, id_i).  The rows are
+    Row i holds the first ``count`` accepts of substream (seed, id_i) when
+    start i is the ``stream_starts`` of (seed, id_i), and ``sample_n(params,
+    count, RngStream(seed, id_i))`` draws that row.  The rows are
     drawn through one reused bit generator in groups of as many rows as
     first batches fit in ``_CHUNK`` proposals, at least one: a group's
     first batches are drawn as one (rows x 2 batch) array and tested in one
@@ -269,12 +254,11 @@ def sample_rows(params, count, starts):
 def sample_n(params, count, rng):
     """Draw ``count`` i.i.d. variates with mass f(n) = n^-(beta+1)/zeta(beta+1, a).
 
-    They are the next ``count`` accepted proposals of ``rng``, which is
-    left just past the uniforms of the last one: deterministic for a given
-    (seed, stream_id, params) and the counts drawn before.
+    They are the first ``count`` accepted proposals of the substream that
+    ``rng`` names, its row of ``sample_rows``: the same variates for the
+    same (seed, stream_id, params, count), however often it is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    row, = _empty_rows(1, count)
-    _fill(params, row, 0, rng._gen)
+    row, = sample_rows(params, count, stream_starts(rng.seed, [rng.stream_id]))
     return IntegerSample(row)

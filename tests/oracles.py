@@ -3,10 +3,12 @@
 Everything here deliberately avoids the code paths under test: the zeta
 oracle is a massive direct sum, the KS oracle scans every integer of the
 expanded sample, the MLE oracle is an exhaustive grid search, the
-proposal mass and Bernoulli correction terms are their textbook formulas,
-and the replica oracles draw one replica at a time from its own
-``RngStream`` in fixed chunks of their own, with no group draws and
-none of the sampler's batch sizes.
+proposal mass, accept probability and Bernoulli correction terms are
+their textbook formulas, and the replica oracles draw one replica at a
+time from the uniforms of the substream its ``RngStream`` names
+(``uniforms``, a PCG64 keyed by ``stream_starts`` and set by hand, not by
+the sampler's ``_seek``) in fixed chunks of their own, with no group
+draws and none of the sampler's batch sizes.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from dplfit.sampling import (
     _proposals_from_uniforms,
     accept_test,
     replica_stream,
+    stream_starts,
 )
 
 
@@ -81,6 +84,15 @@ def proposal_mass(params, y):
     """q(y) = (a/y)^beta - (a/(y+1))^beta, the sampler's proposal distribution."""
     y = np.asarray(y, dtype=np.float64)
     out = (params.a / y) ** params.beta - (params.a / (y + 1.0)) ** params.beta
+    return float(out) if out.ndim == 0 else out
+
+
+def acceptance_ratio(params, y):
+    """f(y) q(a) / (f(a) q(y)), the exact accept probability of proposal y."""
+    y = np.asarray(y, dtype=np.float64)
+    tau_m1 = np.expm1(params.beta * np.log1p(1.0 / y))
+    ta_m1 = params.ta_minus_1
+    out = (params.a / y) * (ta_m1 / (1.0 + ta_m1)) * ((1.0 + tau_m1) / tau_m1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,35 +179,45 @@ def scaled_zeta_mpmath(s, a, dps=50, head=60, corrections=20):
         return tuple(mpmath.diffs(scaled, mpmath.mpf(s), 2))
 
 
+def uniforms(rng):
+    """A numpy Generator at the start of the substream an ``RngStream``
+    names: the PCG64 whose (state, increment) ``stream_starts`` gives,
+    with its state set directly."""
+    (state, inc), = stream_starts(rng.seed, [rng.stream_id])
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": state, "inc": inc}}
+    return np.random.Generator(bitgen)
+
+
 def accepted_in_order(params, count, rng, pairs=1000):
-    """The first ``count`` accepted proposals of an ``RngStream``, in
-    proposal order, and the number of proposals they took.
+    """The first ``count`` accepted proposals of the substream an
+    ``RngStream`` names, in proposal order.
 
     Proposal k is made from the stream's uniform 2k (w = 1 - u) and tested
     with its uniform 2k + 1; a proposal past the sampler's int64 cap is
     rejected.  ``pairs`` proposals are drawn at a time, which changes
     nothing but the speed."""
+    gen = uniforms(rng)
     kept = []
-    need, drawn = count, 0
-    while True:
-        u = rng.uniform(2 * pairs)
+    need = count
+    while need:
+        u = gen.random(2 * pairs)
         y = _proposals_from_uniforms(params, 1.0 - u[0::2])
         k = np.flatnonzero(y < dplfit.sampling._MAX_PROPOSAL)
         y = np.maximum(y[k].astype(np.int64), params.a)
         hit = accept_test(params, y, u[1::2][k])
-        k, y = k[hit][:need], y[hit][:need]
+        y = y[hit][:need]
         kept.append(y)
         need -= y.size
-        if not need:
-            return np.concatenate(kept), drawn + int(k[-1]) + 1
-        drawn += pairs
+    return np.concatenate(kept)
 
 
 def variates_one_at_a_time(params, count, rng):
-    """``count`` sampler variates from an ``RngStream``, sorted: the first
-    ``count`` accepts among its proposals, proposal k on its uniforms 2k
-    and 2k + 1 (``accepted_in_order``)."""
-    return np.sort(accepted_in_order(params, count, rng)[0])
+    """``count`` sampler variates of the substream an ``RngStream`` names,
+    sorted: the first ``count`` accepts among its proposals, proposal k on
+    its uniforms 2k and 2k + 1 (``accepted_in_order``)."""
+    return np.sort(accepted_in_order(params, count, rng))
 
 
 def replica_one_at_a_time(beta_emp, a, n_a, seed, i):

@@ -20,16 +20,10 @@ from dplfit.distribution import IntegerSample, PowerLawModel, sufficient_stat
 from dplfit.ks import ks_statistic
 from dplfit.mle import fit_beta
 from dplfit.pipeline import ScanConfig, fit_at_a, scan
-from dplfit.sampling import (
-    RngStream,
-    SamplerParams,
-    accept_test,
-    acceptance_ratio,
-    sample_n,
-)
+from dplfit.sampling import RngStream, SamplerParams, accept_test, sample_n
 from dplfit.zeta import hurwitz_zeta
 
-from oracles import ks_exhaustive, zeta_bruteforce
+from oracles import acceptance_ratio, ks_exhaustive, zeta_bruteforce
 
 GAMMA_GRID = [1.1, 1.5, 2.0, 2.13, 3.0, 6.0]
 A_GRID = [1, 2, 5, 10, 100]

@@ -511,6 +511,19 @@ def test_cli_cutoff_above_maximum(tmp_path, capsys):
     assert "no values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit"], ["curves"], ["curves", "--beta", "1"]])
+def test_cli_cutoff_past_int64(tmp_path, capsys, command):
+    # no value a file may hold reaches 2^63, so the tail is empty, not the
+    # largest values rounded up to the cutoff
+    f = tmp_path / "top.counts"
+    f.write_text(f"{2**63 - 500} 1\n{2**63 - 2} 1\n{2**63 - 1} 1\n", encoding="utf-8")
+    name, *options = command
+    code = main([name, str(f), "--format", "counts", "--a", str(2**63),
+                 "--out", str(tmp_path / "out"), *options])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no values >= 9223372036854775808")
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "--a", "1", "--nsim", "0"],
     ["fit", "--a", "1", "--nsim", "-5"],

@@ -41,6 +41,13 @@ def test_truncate_identity():
 def test_truncate_empty_tail():
     with pytest.raises(EmptyTailError):
         IntegerSample([1, 1, 2, 5]).truncated(6)
+    # no int64 value reaches a cutoff of 2^63 or more; compared in float64
+    # the cutoff would keep 2^63 - 2 and 2^63 - 1
+    top = IntegerSample([2**63 - 500, 2**63 - 2, 2**63 - 1])
+    for a in (2**63, np.uint64(2**63), 2.0**63):
+        with pytest.raises(EmptyTailError):
+            top.truncated(a)
+    assert table(top.truncated(2**63 - 1)) == ([2**63 - 1], [1])
 
 
 def test_sample_validation():

@@ -668,6 +668,12 @@ def test_scan_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             ScanConfig(workers=workers)
+    with pytest.raises(ValueError):
+        ScanConfig(seed=-1)
+    with pytest.raises(TypeError):
+        ScanConfig(seed=1.5)
+    # the seed is hashed into each cutoff's seed, so it has no upper bound
+    assert ScanConfig(seed=2**70).seed == 2**70
 
 
 def test_pvalue_sigma_consistency_across_scan():

@@ -1,6 +1,7 @@
-"""The scripts under scripts/ run against the library as it is: each runs
-once as a fresh process, on tiny arguments, with warnings as errors.
-scripts/fetch_novel.py needs network access and is left out."""
+"""The scripts under scripts/ and the README's library example run against
+the library as it is: each runs once as a fresh process, the scripts on
+tiny arguments, with warnings as errors.  scripts/fetch_novel.py needs
+network access and is left out."""
 
 import hashlib
 import os
@@ -14,15 +15,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(script, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "scripts" / script),
-                           *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def run_script(script, *args):
+    return run_python(str(ROOT / "scripts" / script), *args)
 
 
 @pytest.mark.parametrize("script,args,summary", [
@@ -51,3 +55,13 @@ def test_report_digests_prints_each_output_digest(tmp_path):
     assert (workload, seed) == ("large_tail_fit", "1")
     report = tmp_path / "large_tail_fit" / name
     assert digest == hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def test_readme_library_example_prints_its_scan():
+    # the python block under "## Library use": a sample drawn by sample_n,
+    # one fit and a two-process scan of it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run_python("-c", code)
+    assert proc.stdout == "1 1.138263251335391 0.007668072096219572\n"
