@@ -14,8 +14,9 @@ first operation (seed ``opseed_base``) run in this process through
 ``workload seed file sha256``.  dplfit is imported from wherever the
 environment finds it, so setting ``PYTHONPATH`` to another checkout's
 ``src`` digests that version with the same inputs.  Reports record the
-path of their input, so digests compare only between runs with the
-same ``--work``.
+path of their input as given, under ``--work``, so digests compare only
+between runs with the same ``--work``; a relative one records the same
+path from any working directory.
 """
 
 import argparse
@@ -48,7 +49,7 @@ def main():
     args = parser.parse_args()
     print(f"dplfit from {Path(dplfit.__file__).parent}", file=sys.stderr)
 
-    work = args.work.resolve() / args.workload
+    work = args.work / args.workload
     work.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         workload = WORKLOADS[args.workload](seed, work)

@@ -8,6 +8,7 @@ stay in double range for every cutoff.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,15 +67,22 @@ class IntegerSample:
         """N_v = number of data >= v, for each distinct value v."""
         return self.unique_counts[::-1].cumsum()[::-1]
 
+    def tail_start(self, a):
+        """Index of the first distinct value >= a, or their number if there
+        is none.  The cutoff is compared exactly, as a Python int or float,
+        whatever its type: ``searchsorted`` would compare an ``np.uint64``
+        or a float with the table in float64, rounded onto its largest
+        values."""
+        a = int(a) if isinstance(a, numbers.Integral) else float(a)
+        if a > _INT64_MAX:  # no int64 value reaches it
+            return self.unique_values.size
+        return int(np.searchsorted(self.unique_values, math.ceil(a), side="left"))
+
     def truncated(self, a):
         """Sample of the values >= a, multiplicities preserved."""
         if a < 1:
             raise ValueError(f"cutoff must be >= 1, got {a}")
-        start = self.unique_values.size
-        # no int64 value reaches a larger cutoff, which searchsorted would
-        # compare in float64, rounded onto the largest values
-        if a <= 2**63 - 1:
-            start = int(np.searchsorted(self.unique_values, a, side="left"))
+        start = self.tail_start(a)
         if start == self.unique_values.size:
             raise EmptyTailError(
                 f"no values >= {a} (sample maximum is {self.unique_values[-1]})"

@@ -6,9 +6,9 @@ distinct values v < v' of a sample the empirical side is N_v'/N while S
 falls, so the supremum over real n >= a sits at some v or v + 1 (at the
 cutoff both sides are 1).  A sample is measured there, straight from its
 table of distinct values v and N_v, the number of its data >= v.  The
-model survival comes from the zeta kernel where a run of consecutive
-values starts, one exponent a sample for all its runs, and is carried
-along the run by subtraction (``_deviations``).
+model survival S(v) and mass f(v) are evaluated at every distinct value
+as ``PowerLawModel.survival`` and ``.pmf`` evaluate them, and
+S(v + 1) = S(v) - f(v) (``_deviations``).
 """
 
 from dataclasses import dataclass
@@ -45,54 +45,30 @@ def _deviations(s, a, values, above, lengths):
     ``above``; N is N_v at its first value, and past its last value the
     empirical survival is 0.  ``s[r]`` is the exponent + 1 of its model.
 
-    The model survival is S(n) = (a/n)^s Z(s, n) / Z(s, a), and from one
-    integer to the next it falls by the mass at n:
-
-        S(n+1) = S(n) - (a/n)^s / Z(s, a).
-
-    A sample's values fall into runs of consecutive integers.  The kernel
-    ``scaled_zeta`` runs only where a run starts, with one exponent a
-    sample (its ``rows`` argument), so the terms that depend on s alone
-    are computed once a sample, and at the cutoff for each sample's norm
-    Z(s, a).  Along a run S is carried by the subtraction, one value at a
-    time, and S(v + 1) is S(v) less the mass at v, so a value's row
-    depends only on its own run and a sample's distances do not depend on
-    the samples it is measured with.  Each step adds an absolute error of
-    about one ulp of S, the scale the distance is measured at; relative to
-    a small S(n) it can be large, which a distance does not see.
+    The model survival S(v) = (a/v)^s Z(s, v) / Z(s, a) and mass
+    f(v) = (a/v)^s / Z(s, a) are computed at every value with the
+    operations of ``PowerLawModel.survival`` and ``.pmf``, so each bit
+    equals theirs, and S(v + 1) = S(v) - f(v).  The kernel
+    ``scaled_zeta`` takes each value's exponent through its ``rows``
+    argument, so the terms that depend on s alone are computed once a
+    sample, and runs once at the cutoff for every sample's norm Z(s, a).
+    Every operation is elementwise, so a sample's distances do not depend
+    on the samples it is measured with.
     """
     first = np.cumsum(lengths) - lengths
-    start = np.empty(values.size, dtype=bool)
-    np.not_equal(np.diff(values), 1, out=start[1:])
-    start[first] = True
-    heads = np.flatnonzero(start)
-    # a run belongs to the last sample starting at or before it
-    lead = np.searchsorted(heads, first)
-    sample = np.repeat(np.arange(lead.size), np.diff(lead, append=heads.size))
-    # (a/v)^s = exp(-s log1p((v-a)/a)), with one temporary per value
-    mass = (values - a) / a
-    np.log1p(mass, out=mass)
-    mass *= np.repeat(s, lengths)
-    np.negative(mass, out=mass)
-    np.exp(mass, out=mass)
-    z = np.empty(heads.size)
-    for lo in range(0, heads.size, _ZETA_CHUNK):
-        at = heads[lo:lo + _ZETA_CHUNK]
-        z[lo:lo + _ZETA_CHUNK] = scaled_zeta(s, values[at], rows=sample[lo:lo + _ZETA_CHUNK])
-    norm = np.repeat(scaled_zeta(s, a), lengths)
-    at_heads = mass[heads] * (z / norm[heads])
-    mass /= norm
-    model = norm  # the norm's buffer takes the model, run by run
-    model[heads] = at_heads
-    runs = np.diff(heads, append=values.size)
-    live = np.flatnonzero(runs > 1)
-    for j in range(1, int(runs.max(initial=0))):
-        live = live[runs[live] > j]
-        at = heads[live] + j
-        model[at] = model[at - 1] - mass[at - 1]
+    sample = np.repeat(np.arange(len(lengths)), lengths)
+    z = np.empty(values.size)
+    for lo in range(0, values.size, _ZETA_CHUNK):
+        at = slice(lo, lo + _ZETA_CHUNK)
+        z[at] = scaled_zeta(s, values[at], rows=sample[at])
+    norm = scaled_zeta(s, a)[sample]
+    # (a/v)^s as PowerLawModel._power computes it
+    power = np.exp(-s[sample] * np.log1p((values - a) / a))
+    model = power * (z / norm)
+    mass = power / norm
     # N_n / N as true division does it: both converted to float64
     dev = np.empty((values.size, 2))
-    size = np.repeat(above[first], lengths)
+    size = above[first][sample]
     np.divide(above, size, out=dev[:, 0])
     np.divide(above[1:], size[:-1], out=dev[:-1, 1])
     dev[first + lengths - 1, 1] = 0.0

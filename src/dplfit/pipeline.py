@@ -84,13 +84,13 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_sim < 100:
+        if operator.index(self.n_sim) < 100:
             raise ValueError(f"n_sim must be >= 100, got {self.n_sim}")
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
-        if self.min_tail < 2:
+        if operator.index(self.min_tail) < 2:
             raise ValueError("min_tail must be >= 2")
-        if self.workers < 1:
+        if operator.index(self.workers) < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -258,8 +258,7 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     and more than 100 n_sim regenerations in all raise ``ConvergenceError``.
     """
     tails = np.append(sample.survival_counts, 0)
-    at = np.searchsorted(sample.unique_values, [a for a, _ in cutoffs])
-    work = [n_sim * int(n_a) for n_a in tails[at]]
+    work = [n_sim * int(tails[sample.tail_start(a)]) for a, _ in cutoffs]
     total = sum(work)
     workers = (min(workers, _usable_cpus()) if workers > 1
                else _workers(n_sim * len(cutoffs), total))
@@ -312,8 +311,8 @@ def fit_at_a(sample, a, n_sim, seed, keep_d_sims=False):
     returns.  Each replica's result depends only on (seed, i, attempt), not
     on the units, blocks or processes or other replicas' regenerations.
     """
-    _whole(a)
-    if n_sim < 1:
+    a = int(_whole(a))
+    if operator.index(n_sim) < 1:
         raise ValueError(f"n_sim must be >= 1, got {n_sim}")
     (fit,) = _fits(sample, [(a, seed)], n_sim, 1, keep_d_sims)
     if isinstance(fit, Exception):

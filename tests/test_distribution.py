@@ -50,6 +50,18 @@ def test_truncate_empty_tail():
     assert table(top.truncated(2**63 - 1)) == ([2**63 - 1], [1])
 
 
+def test_truncate_compares_the_cutoff_exactly():
+    # compared with the int64 table in float64, an np.uint64 or float
+    # cutoff would round onto the largest values and keep those below it
+    top = IntegerSample([2**63 - 500, 2**63 - 2, 2**63 - 1])
+    assert table(top.truncated(np.uint64(2**63 - 1))) == ([2**63 - 1], [1])
+    assert table(top.truncated(np.uint64(2**63 - 2))) == ([2**63 - 2, 2**63 - 1], [1, 1])
+    near = IntegerSample([2**62 - 1, 2**62, 2**62 + 1])
+    for a in (2**62, np.uint64(2**62), np.int64(2**62), 2.0**62, np.float64(2.0**62)):
+        assert table(near.truncated(a)) == ([2**62, 2**62 + 1], [1, 1])
+    assert table(near.truncated(2.0**62 - 0.5 * 2**10)) == table(near)
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         IntegerSample([])

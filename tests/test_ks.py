@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dplfit.distribution import IntegerSample, PowerLawModel
-from dplfit.ks import ks_statistic, p_value
+from dplfit.ks import _deviations, ks_statistic, p_value
 from dplfit.sampling import RngStream, SamplerParams, sample_n
 
 from oracles import expanded, ks_exhaustive
@@ -40,6 +40,47 @@ def test_largest_int64_value_is_measured():
 def test_mismatch_below_cutoff():
     with pytest.raises(ValueError):
         ks_statistic(IntegerSample([1, 2, 3]), PowerLawModel(2, 1.0))
+
+
+@pytest.mark.parametrize("a", [1, 2, 10, 10**3, 10**9, 2**62])
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.13, 5.0, 40.0])
+def test_deviations_use_the_model_survival(a, beta):
+    # three samples measured in one batch, each against its own model:
+    # runs of consecutive values, gaps, and a sample with no datum at the
+    # cutoff; every row equals the model's own survival and mass bit for
+    # bit, so it does not depend on the values before it in its run
+    offsets = [[0, 1, 2, 3, 4, 9, 10, 11, 500], [3, 4, 5, 6, 7, 8], [0, 70, 71]]
+    betas = [beta, 2.0 * beta, beta + 0.4]
+    rng = np.random.default_rng(a % 1000 + int(100 * beta))
+    samples = [IntegerSample(a + np.array(o), rng.integers(1, 20, size=len(o)))
+               for o in offsets]
+    dev = _deviations(np.array(betas) + 1.0, a,
+                      np.concatenate([x.unique_values for x in samples]),
+                      np.concatenate([x.survival_counts for x in samples]),
+                      [x.unique_values.size for x in samples])
+    at = 0
+    for sample, b in zip(samples, betas):
+        m = PowerLawModel(a, b)
+        v, above = sample.unique_values, sample.survival_counts
+        emp = above / above[0]
+        after = np.append(above[1:], 0) / above[0]
+        rows = dev[at:at + v.size]
+        at += v.size
+        assert rows[:, 0].tobytes() == np.abs(emp - m.survival(v)).tobytes()
+        assert rows[:, 1].tobytes() == np.abs(after - (m.survival(v) - m.pmf(v))).tobytes()
+    assert at == dev.shape[0]
+
+
+@pytest.mark.parametrize("a,beta,size", [(10, 0.05, 50000), (1, 0.3, 20000)])
+def test_long_run_matches_exhaustive_scan(a, beta, size):
+    # one run of consecutive values, each the model survival at its own
+    # value rather than carried from the run's start
+    s = IntegerSample(np.arange(a, a + size))
+    m = PowerLawModel(a, beta)
+    r = ks_statistic(s, m)
+    d_oracle, n_oracle = ks_exhaustive(s, m)
+    assert abs(r.d - d_oracle) <= 1e-15
+    assert r.argmax_n == n_oracle
 
 
 @given(st.data())

@@ -143,14 +143,14 @@ def first_block(data, a, n_sim, seed, workers):
 def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 2.9 MB inline, as in a scan's worker
+    # at n_sim = 1000 peaks at about 4.8 MB inline, as in a scan's worker
     # process
     data = power_law_data(1.13, 350, seed=5, a=23)
     n_a = data.truncated(23).size
     assert pipeline._workers(1000, 1000 * n_a) == 1
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
     # split into two slices of 500 replicas on two processes, one block of
-    # 250 replicas peaks at about 2.9 MB in its process
+    # 250 replicas peaks at about 4.7 MB in its process
     assert traced_peak(pipeline._attempt, *first_block(data, 23, 1000, 3, 2)) <= 8 * 2**20
     # and the calling process, which holds the slices' distances, at about
     # 0.4 MB
@@ -330,6 +330,21 @@ def test_fit_at_a_rejects_no_replicas():
     for n_sim in (0, -5):
         with pytest.raises(ValueError, match="n_sim"):
             fit_at_a(data, 1, n_sim, seed=8)
+    # a count must be an integer, checked before any work rather than
+    # failing inside numpy
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        fit_at_a(data, 1, 100.5, 0)
+    assert fit_at_a(data, 1, np.int64(100), 0) == fit_at_a(data, 1, 100, 0)
+
+
+def test_fit_at_a_compares_a_uint64_cutoff_exactly():
+    # 2^62 - 1 lies below the cutoff 2^62 but rounds onto it in float64,
+    # where an np.uint64 cutoff was once compared with the int64 table
+    a = 2**62
+    data = IntegerSample([a - 1] + [a + k * 2**56 for k in range(0, 64, 3)])
+    fit = fit_at_a(data, a, 100, seed=4)
+    assert (fit.a, fit.n_a) == (a, 22)
+    assert fit_at_a(data, np.uint64(a), 100, seed=4) == fit
 
 
 def test_cutoffs_must_be_whole_numbers():
@@ -668,6 +683,11 @@ def test_scan_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             ScanConfig(workers=workers)
+    # counts must be integers: not rounded, nor failing later inside numpy
+    for count in ("n_sim", "workers", "min_tail"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ScanConfig(**{count: 150.5})
+    assert ScanConfig(n_sim=np.int64(150), workers=np.int64(2), min_tail=np.int64(3)).n_sim == 150
     with pytest.raises(ValueError):
         ScanConfig(seed=-1)
     with pytest.raises(TypeError):

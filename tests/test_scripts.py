@@ -1,7 +1,8 @@
 """The scripts under scripts/ and the README's library example run against
-the library as it is: each runs once as a fresh process, the scripts on
-tiny arguments, with warnings as errors.  scripts/fetch_novel.py needs
-network access and is left out."""
+the library as it is: each runs as a fresh process, the experiment
+scripts on tiny arguments and scripts/report_digests.py on each benchmark
+workload's first seed, with warnings as errors.  scripts/fetch_novel.py
+needs network access and is left out."""
 
 import hashlib
 import os
@@ -15,18 +16,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def run_script(script, *args):
-    return run_python(str(ROOT / "scripts" / script), *args)
+def run_script(script, *args, cwd=None):
+    return run_python(str(ROOT / "scripts" / script), *args, cwd=cwd)
 
 
 @pytest.mark.parametrize("script,args,summary", [
@@ -55,6 +56,34 @@ def test_report_digests_prints_each_output_digest(tmp_path):
     assert (workload, seed) == ("large_tail_fit", "1")
     report = tmp_path / "large_tail_fit" / name
     assert digest == hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+# The outputs of each benchmark workload's first operation at seed 1.  A
+# change that moves a report's bytes on purpose records the new digests.
+REPORT_DIGESTS = {
+    "corpus_scan": {
+        "scan_1596810411.json": "10d56647a9d91bfcb6e9efd504bf1c5def7f03ff77003008bffe02457e15bbf9",
+    },
+    "large_tail_fit": {
+        "fit_1596810411.json": "ef7c1862fdc2bb88ddc7e93f863c4eddb96c63c1d171448f8324372f460d0699",
+    },
+    "counts_ingest": {
+        "curves.tsv": "6d57683cb9ab22359c0aa9e3402efdeff37f5108302df25c5803eafaf8e47011",
+        "fit.json": "c0dd1091766a914153f1a2b97d8cfc351c7db4f46daa55481d5a040801692853",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", [
+    pytest.param("corpus_scan", marks=pytest.mark.slow), "large_tail_fit", "counts_ingest",
+])
+def test_reports_keep_their_digest(tmp_path, workload):
+    # a relative --work records the same input paths from any working
+    # directory, so the reports' bytes depend on dplfit alone
+    proc = run_script("report_digests.py", "--workload", workload, "--seeds", "1",
+                      "--work", "work", cwd=tmp_path)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert {name: digest for _, _, name, digest in lines} == REPORT_DIGESTS[workload]
 
 
 def test_readme_library_example_prints_its_scan():
