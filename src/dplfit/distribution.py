@@ -22,6 +22,14 @@ _LOG_DEGENERACY_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _whole(a):
+    """Cutoff ``a`` if it is a whole number, of any numeric type (2,
+    np.int64(2) and 2.0 all are); else ``ValueError``."""
+    if not (isinstance(a, numbers.Integral) or float(a).is_integer()):
+        raise ValueError(f"cutoff {a} is not a whole number")
+    return a
+
+
 class IntegerSample:
     """Multiset of positive integers, held as its table of distinct values.
 

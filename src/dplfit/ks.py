@@ -32,8 +32,11 @@ class PValue:
     n_exceed: int
 
 
-# Points per evaluation of the zeta kernel, to bound its temporaries.
-_ZETA_CHUNK = 1 << 15
+# Points per evaluation of the zeta kernel, to bound its temporaries (about
+# 15 float64 arrays of this size): at 2^12 a block of a 350-observation
+# tail at n_sim 1000 peaks at 3.2 MB under tracemalloc, against 4.8 MB at
+# 2^15, and neither corpus_scan nor large_tail_fit ran slower.
+_ZETA_CHUNK = 1 << 12
 
 
 def _deviations(s, a, values, above, lengths):

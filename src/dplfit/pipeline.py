@@ -1,13 +1,23 @@
 """The full recipe: fixed-cutoff fit with Monte Carlo p-value, and the
 scan over cutoffs that selects a* = min{a : p > threshold}.
 
+A replica of a tail of N_a observations is N_a i.i.d. draws of the
+model fitted to it, from its own substream: the replica ``sample_n``
+draws.  Where the sampler's ``draws_table`` says it is cheaper, it is
+drawn straight as its table of distinct values and counts: one
+multinomial over the values it is sure to hit (its cells) and an
+envelope above them, with rejection only in the envelope
+(``sample_tables``).  Otherwise it is drawn as a row of N_a variates
+(``sample_rows``) and tabulated here.
+
 Replicas are refit and measured in blocks of about ``_BLOCK_VALUES``
 distinct values, with one ``solve_betas`` and one ``ks_distances`` call
-per block.  A block's replicas are drawn (``sample_rows``), sorted and
-reduced in units of about ``_UNIT`` variates, each unit's rows to ln G
-and their tables of distinct values and N_v, flat, which
-``ks_distances`` reads as they are.  Both sizes are memory budgets: they
-bound what one process of a fit holds at once and change no result.
+per block.  A block's replicas come as their tables (``_tables``) or are
+drawn as rows, sorted and reduced in units of about ``_UNIT`` variates
+(``_tabulate``); either way each replica becomes its ln G and its table
+of distinct values and N_v, flat, which ``ks_distances`` reads as they
+are.  Both sizes are memory budgets: they bound what one process of a
+fit holds at once and change no result.
 
 A fit's or a scan's replicas run as jobs, each a run of consecutive
 replica indices of one cutoff, on one pool of forked processes (``_fits``);
@@ -16,7 +26,6 @@ everything runs in the calling process.
 """
 
 import concurrent.futures
-import numbers
 import operator
 import os
 from contextlib import contextmanager
@@ -25,11 +34,18 @@ from itertools import islice
 
 import numpy as np
 
-from .distribution import PowerLawModel, log_geo_means, sufficient_stat
+from .distribution import PowerLawModel, _whole, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import SOLVED, fit_beta, solve_betas
-from .sampling import SamplerParams, replica_stream, sample_rows, stream_starts
+from .sampling import (
+    SamplerParams,
+    draws_table,
+    replica_stream,
+    sample_rows,
+    sample_tables,
+    stream_starts,
+)
 
 # Replicas are refit and measured in blocks of about this many distinct
 # values, as many replicas as the empirical tail's distinct-value count
@@ -112,14 +128,6 @@ class ScanResult:
     sigma_star: float = None
 
 
-def _whole(a):
-    """Cutoff ``a`` if it is a whole number, of any numeric type (2,
-    np.int64(2) and 2.0 all are); else ``ValueError``."""
-    if not (isinstance(a, numbers.Integral) or float(a).is_integer()):
-        raise ValueError(f"cutoff {a} is not a whole number")
-    return a
-
-
 def _seed_for_cutoff(seed, a):
     """A 64-bit seed for the cutoff's replica ensemble, derived by hashing."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(np.uint32(0xA5CAD), a))
@@ -185,6 +193,18 @@ def _tabulate(n_a, rows):
     return log_g, values, n_a - at % n_a, distinct
 
 
+def _tables(n_a, values, counts, lengths):
+    """Replicas of ``n_a`` observations given as their tables of distinct
+    values and counts, flat (``sample_tables``): each replica's ln G, and
+    the values, their N_v and the lengths, as ``_tabulate`` returns them."""
+    first = np.cumsum(lengths) - lengths
+    log_g = log_geo_means(values, counts, first, n_a)
+    # the running sum of the block's counts may pass 2^63 and wrap, but a
+    # difference within one replica, at most N_a, comes out exact
+    before = np.cumsum(counts) - counts
+    return log_g, values, n_a - (before - np.repeat(before[first], lengths)), lengths
+
+
 def _attempt(params, n_a, starts):
     """Draw, refit and measure the replicas of start states ``starts``: one
     ``solve_betas`` and one ``ks_distances`` call over all of them.  Returns
@@ -195,14 +215,19 @@ def _attempt(params, n_a, starts):
     replica is measured independently of the others, so measuring the
     unsolved ones changes no solved replica's distance.
 
-    The replicas are drawn and tabulated (``_tabulate``) a unit of about
-    ``_UNIT`` variates at a time; only ``_tabulate`` holds a unit's rows,
-    so they are let go before the next unit is drawn.
+    Replicas that ``draws_table`` draws as tables are drawn all at once
+    (``sample_tables``).  Others are drawn as rows and tabulated
+    (``_tabulate``) a unit of about ``_UNIT`` variates at a time; only
+    ``_tabulate`` holds a unit's rows, so they are let go before the next
+    unit is drawn.
     """
     a = params.a
-    unit = max(1, _UNIT // n_a)
-    parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
-             for lo in range(0, len(starts), unit)]
+    if draws_table(params, n_a):
+        parts = [_tables(n_a, *sample_tables(params, n_a, starts))]
+    else:
+        unit = max(1, _UNIT // n_a)
+        parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
+                 for lo in range(0, len(starts), unit)]
     log_g, values, above, lengths = [np.concatenate(arrays) for arrays in zip(*parts)]
     beta, _, status = solve_betas(log_g, a)
     solved = status == SOLVED

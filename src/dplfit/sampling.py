@@ -15,10 +15,26 @@ Each substream (seed, id) is a PCG64 whose state and increment are set
 from four words of numpy's ``SeedSequence(seed, spawn_key=(id // 256,))``:
 the words at 4 (id mod 256) of its 1024-word state, so one SeedSequence
 call keys 256 substreams.  Proposal k of a substream is made from its uniform
-2k (w = 1 - u) and tested with its uniform 2k + 1 (v), and a draw of
+2k (w = 1 - u) and tested with its uniform 2k + 1 (v), and a row of
 ``count`` variates is the first ``count`` accepted proposals.  How many
 proposals are drawn at once (``_batch_size``, ``_CHUNK``) is not part of
 that definition, so it changes no variate.
+
+A replica of N draws at (a, beta), s = beta + 1, whose values a <= n < T
+are each expected at least once, N (a/n)^s / Z >= 1 with Z taken from
+below, is drawn as its table instead (``composite``, ``sample_tables``).
+Those values are its cells, at most ``_MAX_CELLS``, and cell n weighs
+(a/n)^s; everything at or above T is the envelope, the proposal at cutoff
+T, of weight W = (a/T)^s t_T/(t_T - 1).  From the start of the replica's
+substream, each round draws one ``Generator.multinomial`` of the draws
+still needed over (cells, envelope), then makes the envelope's m trials
+as m proposals at cutoff T from the stream's next 2m uniforms; the ones
+they reject are still needed.  Rejected trials restart from the whole
+composite, not inside the envelope, so the draws are exactly i.i.d. f,
+conditioned on y < 2^63 as a row's are, in O(cells + envelope) work, not
+O(N).  With no cells the multinomial draws nothing and the replica is
+its row.  A replica is drawn as its table only where that is cheaper
+(``draws_table``).
 
 Rows are drawn a group at a time (``sample_rows``): each row's start
 state is set on one reused bit generator, and the group's first batches
@@ -27,7 +43,7 @@ tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
 that comes up short, as every row of a tail larger than ``_CHUNK``
 proposals does, goes on alone from the end of its first batch, ``_CHUNK``
 proposals at a time.  An ``RngStream`` only names a substream, and
-``sample_n`` draws that substream's row of ``sample_rows``.
+``sample_n`` draws that substream's replica, as a table or as a row.
 """
 
 import math
@@ -36,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import IntegerSample
+from .distribution import IntegerSample, _whole
 from .errors import TailTooLargeError
 
-RNG_ALGORITHM = "pcg64-seedsequence-block256-pairs"
+RNG_ALGORITHM = "pcg64-seedsequence-block256-pairs-cells"
 
 # Proposals whose float value would not fit in int64 are redrawn.  The
 # redraw leaves the distribution conditioned on y < 2^63, which removes
@@ -59,6 +75,19 @@ _M128 = (1 << 128) - 1
 # passes of this many.  Its temporaries stay in cache and are reused from
 # pass to pass; at 2^16 proposals a draw runs slower, not faster.
 _CHUNK = 1 << 14
+
+# A replica's cells are at most this many values from the cutoff up.
+_MAX_CELLS = 1 << 16
+
+# A replica is drawn as its table when its cells are expected to take at
+# least this many of its draws.  A table costs about 30-170 us a replica
+# to draw, growing with its cells, and a row about 35 ns a variate, so
+# they break even near 1400 cell draws: one process's job of 1000
+# replicas of the corpus_scan corpus (2 vCPUs) took 109 ms as tables
+# against 156 ms as rows at 2214 cell draws (a = 5), 107 against 108 ms at
+# 1371 (a = 7) and 106 against 96 ms at 1182 (a = 8); at a = 50,
+# beta = 1.13 (311 cells) the two tie at 2681.
+_TABLE_DRAWS = 1 << 11
 
 
 def replica_stream(replica, attempt):
@@ -107,20 +136,23 @@ def _seek(bitgen, start, skip=0):
 @dataclass(frozen=True)
 class RngStream:
     """The name of substream (seed, stream_id): it holds no generator and
-    has no position, and ``sample_n`` draws its row of ``sample_rows``."""
+    has no position, and ``sample_n`` draws its replica."""
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
+        if operator.index(self.stream_id) < 0:
             raise ValueError("stream_id must be non-negative")
         list(stream_starts(self.seed, ()))  # the seed check alone: no substream is keyed
 
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Cutoff and exponent plus the constants the sampler derives from them."""
+    """Cutoff and exponent plus the constants the sampler derives from them.
+
+    The cutoff must be a whole number, of any numeric type, and is held as
+    a Python int."""
 
     a: int
     beta: float
@@ -128,13 +160,16 @@ class SamplerParams:
     ta_minus_1: float = field(init=False)
     # Proposal mass at or above the 2^63 cap, which the sampler redraws.
     lost_mass: float = field(init=False)
-    # Share of proposals accepted, q(a) Z(beta+1, a) with Z(s, a) = a^s
-    # zeta(s, a), from below: Z is taken as its first term plus the
-    # Euler-Maclaurin integral and half-term from a + 1, which is never
-    # above Z (but for rounding) and at most 2.1% below it.
+    # Z(beta+1, a), with Z(s, a) = a^s zeta(s, a), from below: its first
+    # term plus the Euler-Maclaurin integral and half-term from a + 1,
+    # which is never above Z (but for rounding) and at most 2.1% below it.
+    norm_bound: float = field(init=False)
+    # Share of proposals accepted, q(a) Z(beta+1, a), from below: q(a)
+    # times ``norm_bound``.
     rate: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a", int(_whole(self.a)))
         if self.a < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.a}")
         if not self.beta > 0:
@@ -144,6 +179,7 @@ class SamplerParams:
         z = 1.0 + math.exp(-(self.beta + 1.0) * log_step) * ((self.a + 1.0) / self.beta + 0.5)
         object.__setattr__(self, "ta_minus_1", tam1)
         object.__setattr__(self, "lost_mass", (self.a / _MAX_PROPOSAL) ** self.beta)
+        object.__setattr__(self, "norm_bound", z)
         object.__setattr__(self, "rate", min(1.0, tam1 / (1.0 + tam1) * z))
 
 
@@ -203,10 +239,11 @@ def _fill(params, row, filled, gen):
         filled += at.size
 
 
-def _empty_rows(rows, count):
-    """An unfilled (rows x count) int64 array, or TailTooLargeError."""
+def _empty(shape, count):
+    """An unfilled int64 array of ``shape`` for a replica of ``count``
+    observations, or TailTooLargeError."""
     try:
-        return np.empty((rows, count), dtype=np.int64)
+        return np.empty(shape, dtype=np.int64)
     except MemoryError as err:
         raise TailTooLargeError(
             f"a replica of {count} observations does not fit in memory"
@@ -219,7 +256,8 @@ def sample_rows(params, count, starts):
 
     Row i holds the first ``count`` accepts of substream (seed, id_i) when
     start i is the ``stream_starts`` of (seed, id_i), and ``sample_n(params,
-    count, RngStream(seed, id_i))`` draws that row.  The rows are
+    count, RngStream(seed, id_i))`` draws that row unless ``draws_table``
+    draws the replica as its table.  The rows are
     drawn through one reused bit generator in groups of as many rows as
     first batches fit in ``_CHUNK`` proposals, at least one: a group's
     first batches are drawn as one (rows x 2 batch) array and tested in one
@@ -231,7 +269,7 @@ def sample_rows(params, count, starts):
     bitgen = gen.bit_generator
     size = _batch_size(params, count)
     batch, group = min(size, _CHUNK), max(1, _CHUNK // size)
-    out = _empty_rows(len(starts), count)
+    out = _empty((len(starts), count), count)
     uniforms = np.empty((min(group, len(starts)), 2 * batch))
     for lo in range(0, len(starts), group):
         rows = out[lo:lo + group]
@@ -251,14 +289,122 @@ def sample_rows(params, count, starts):
     return out
 
 
+def composite(params, count):
+    """The composite law that a replica of ``count`` draws at ``params`` is
+    drawn from, as (``SamplerParams`` of the envelope's cutoff T, pvals).
+
+    The cells are the values a <= n < T whose expected count,
+    count (a/n)^s / ``params.norm_bound`` with s = beta + 1, is at least 1,
+    at most ``_MAX_CELLS`` of them; cell n weighs (a/n)^s, computed as
+    ``PowerLawModel._power`` computes it.  The envelope is the proposal at
+    cutoff T and weighs W = (a/T)^s t_T/(t_T - 1): its proposals, accepted
+    as at cutoff T, give every n >= T the weight (a/n)^s.  pvals holds each
+    cell's share of the total weight and, last, the envelope's; with no
+    cells T = a and pvals = (1,).
+    """
+    a, s = params.a, params.beta + 1.0
+    # the cells end near a (count / Z)^(1/s), a + reach; the weights decide
+    # exactly, among candidates up to one past that, within the cap and
+    # below the proposal cap
+    reach = a * math.expm1((math.log(count) - math.log(params.norm_bound)) / s)
+    span = max(0, min(_MAX_CELLS, int(_MAX_PROPOSAL) - a, math.floor(reach) + 2))
+    n = np.arange(a, a + span + 1)
+    power = np.exp(-s * np.log1p((n - a) / a))
+    cells = int(np.count_nonzero(count * power[:span] / params.norm_bound >= 1.0))
+    tail = SamplerParams(a + cells, params.beta)
+    weights = power[:cells + 1]
+    weights[-1] *= (1.0 + tail.ta_minus_1) / tail.ta_minus_1
+    return tail, weights / weights.sum()
+
+
+def draws_table(params, count):
+    """Whether a replica of ``count`` draws at ``params`` is drawn as its
+    table (``sample_tables``), not as a row (``sample_rows``): when its
+    cells are expected to take at least ``_TABLE_DRAWS`` of its draws."""
+    return count * (1.0 - composite(params, count)[1][-1]) >= _TABLE_DRAWS
+
+
+def _draw_table(gen, count, tail, pvals):
+    """One replica of ``count`` draws from the composite (``composite``) at
+    ``gen``'s position: its count of each cell and its accepted envelope
+    values, in draw order.
+
+    Each round draws one multinomial over the cells and the envelope for
+    the draws still needed, then makes the envelope's m trials as m
+    proposals at cutoff T from the stream's next 2m uniforms, at most
+    ``_CHUNK`` proposals a pass.  The rejected trials are still needed and
+    go back through the whole multinomial, never through the envelope
+    alone, so the draws are exact.
+    """
+    tally, need, kept, envelope = 0, count, 0, None
+    while need:
+        drawn = gen.multinomial(need, pvals)
+        tally += drawn[:-1]
+        trials, before = int(drawn[-1]), kept
+        if envelope is None:  # no later round has more envelope trials
+            envelope = _empty(trials, count)
+        for lo in range(0, trials, _CHUNK):
+            y, ok = _propose(tail, gen.random(2 * min(_CHUNK, trials - lo)))
+            got = y[ok]
+            envelope[kept:kept + got.size] = got
+            kept += got.size
+        need = trials - (kept - before)
+    return tally, envelope[:kept]
+
+
+def sample_tables(params, count, starts):
+    """One replica of ``count`` draws per PCG64 start state in ``starts``,
+    each as its table: all the replicas' distinct values and counts, flat,
+    one replica after another, and each replica's number of distinct values.
+
+    Each replica is drawn from its start by ``_draw_table``, one after
+    another through one reused bit generator, and the tables are then made
+    in one pass: a replica's cells that were hit, then the distinct values
+    of its envelope.  With no cells a replica is the first ``count``
+    accepts of its stream, the row ``sample_rows`` draws.
+    """
+    tail, pvals = composite(params, count)
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    cells, hits, envelopes = [], [], []
+    for start in starts:
+        _seek(bitgen, start)
+        tally, envelope = _draw_table(gen, count, tail, pvals)
+        at = np.flatnonzero(tally)
+        cells.append(at)
+        hits.append(tally[at])
+        envelope.sort()
+        envelopes.append(envelope)
+    replicas = np.arange(len(cells))
+    cell_of = np.repeat(replicas, [at.size for at in cells])
+    envelope_of = np.repeat(replicas, [e.size for e in envelopes])
+    envelope = np.concatenate(envelopes)
+    new = np.empty(envelope.size, dtype=bool)
+    new[:1] = True
+    new[1:] = (envelope[1:] != envelope[:-1]) | (envelope_of[1:] != envelope_of[:-1])
+    at = np.flatnonzero(new)
+    owner = np.concatenate((cell_of, envelope_of[at]))
+    order = np.argsort(owner, kind="stable")
+    values = np.concatenate((np.concatenate(cells) + params.a, envelope[at]))[order]
+    counts = np.concatenate((np.concatenate(hits), np.diff(at, append=envelope.size)))[order]
+    return values, counts, np.bincount(owner, minlength=replicas.size)
+
+
 def sample_n(params, count, rng):
     """Draw ``count`` i.i.d. variates with mass f(n) = n^-(beta+1)/zeta(beta+1, a).
 
-    They are the first ``count`` accepted proposals of the substream that
-    ``rng`` names, its row of ``sample_rows``: the same variates for the
-    same (seed, stream_id, params, count), however often it is drawn.
+    They are the replica that the substream ``rng`` names gives, the one
+    a fit's replica on that substream is: its table from
+    ``sample_tables`` where ``draws_table`` says so, else its row of
+    ``sample_rows``, the first ``count`` accepted proposals.  The same
+    variates for the same (seed, stream_id, params, count), however often
+    it is drawn.
     """
-    if count < 1:
+    if operator.index(count) < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    row, = sample_rows(params, count, stream_starts(rng.seed, [rng.stream_id]))
+    starts = stream_starts(rng.seed, [rng.stream_id])
+    if draws_table(params, count):
+        values, counts, _ = sample_tables(params, count, starts)
+        return IntegerSample(values, counts)
+    row, = sample_rows(params, count, starts)
     return IntegerSample(row)

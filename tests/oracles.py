@@ -8,7 +8,10 @@ their textbook formulas, and the replica oracles draw one replica at a
 time from the uniforms of the substream its ``RngStream`` names
 (``uniforms``, a PCG64 keyed by ``stream_starts`` and set by hand, not by
 the sampler's ``_seek``) in fixed chunks of their own, with no group
-draws and none of the sampler's batch sizes.
+draws and none of the sampler's batch sizes.  A replica that the
+sampler draws as its table takes only its pvals and its path from the
+sampler (``composite``, ``draws_table``); its rounds of multinomial and
+envelope proposals are drawn here.
 """
 
 import numpy as np
@@ -28,6 +31,8 @@ from dplfit.sampling import (
     SamplerParams,
     _proposals_from_uniforms,
     accept_test,
+    composite,
+    draws_table,
     replica_stream,
     stream_starts,
 )
@@ -190,6 +195,16 @@ def uniforms(rng):
     return np.random.Generator(bitgen)
 
 
+def accepted_proposals(params, u):
+    """The proposals that uniforms ``u`` make and accept, in order: proposal
+    k from u[2k] (w = 1 - u) and tested with u[2k + 1]; a proposal past
+    the sampler's int64 cap is rejected."""
+    y = _proposals_from_uniforms(params, 1.0 - u[0::2])
+    k = np.flatnonzero(y < dplfit.sampling._MAX_PROPOSAL)
+    y = np.maximum(y[k].astype(np.int64), params.a)
+    return y[accept_test(params, y, u[1::2][k])]
+
+
 def accepted_in_order(params, count, rng, pairs=1000):
     """The first ``count`` accepted proposals of the substream an
     ``RngStream`` names, in proposal order.
@@ -202,12 +217,7 @@ def accepted_in_order(params, count, rng, pairs=1000):
     kept = []
     need = count
     while need:
-        u = gen.random(2 * pairs)
-        y = _proposals_from_uniforms(params, 1.0 - u[0::2])
-        k = np.flatnonzero(y < dplfit.sampling._MAX_PROPOSAL)
-        y = np.maximum(y[k].astype(np.int64), params.a)
-        hit = accept_test(params, y, u[1::2][k])
-        y = y[hit][:need]
+        y = accepted_proposals(params, gen.random(2 * pairs))[:need]
         kept.append(y)
         need -= y.size
     return np.concatenate(kept)
@@ -220,15 +230,40 @@ def variates_one_at_a_time(params, count, rng):
     return np.sort(accepted_in_order(params, count, rng))
 
 
+def table_one_at_a_time(params, count, rng):
+    """The replica of ``count`` draws that the sampler draws as its table
+    from the substream an ``RngStream`` names, sorted.
+
+    Only the composite's envelope cutoff T and pvals come from the sampler
+    (``composite``).  Each round draws one multinomial of the draws still
+    needed over the cells a, ..., T - 1 and the envelope; the envelope's m
+    trials are the proposals at cutoff T that the stream's next 2m
+    uniforms make, all in one pass, and the ones they reject are still
+    needed."""
+    tail, pvals = composite(params, count)
+    gen = uniforms(rng)
+    drawn, need = [], count
+    while need:
+        tally = gen.multinomial(need, pvals)
+        drawn.append(np.repeat(np.arange(params.a, tail.a), tally[:-1]))
+        kept = accepted_proposals(tail, gen.random(2 * tally[-1]))
+        drawn.append(kept)
+        need = tally[-1] - kept.size
+    return np.sort(np.concatenate(drawn))
+
+
 def replica_one_at_a_time(beta_emp, a, n_a, seed, i):
     """Replica i of a fit: drawn from substream ``replica_stream(i,
-    attempt)`` one attempt at a time, refit alone by ``fit_beta`` and
-    measured alone by ``ks_statistic``.  Returns (attempt, distance)."""
+    attempt)`` one attempt at a time, as a table where the sampler draws
+    one (``table_one_at_a_time``) and otherwise as the first N_a accepts
+    (``variates_one_at_a_time``), refit alone by ``fit_beta`` and measured
+    alone by ``ks_statistic``.  Returns (attempt, distance)."""
     params = SamplerParams(a, beta_emp)
+    draw = table_one_at_a_time if draws_table(params, n_a) else variates_one_at_a_time
     attempt = 0
     while True:
         rng = RngStream(seed, replica_stream(i, attempt))
-        sim = IntegerSample(variates_one_at_a_time(params, n_a, rng))
+        sim = IntegerSample(draw(params, n_a, rng))
         try:
             beta = fit_beta(sufficient_stat(sim), a).beta_emp
         except (DegenerateDataError, ConvergenceError):

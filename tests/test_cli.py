@@ -403,11 +403,13 @@ def test_cli_curves_on_huge_counts(tmp_path, capsys):
 
 
 def test_cli_tail_too_large_to_simulate(tmp_path):
-    # 2.2e12 observations ingest and fit, but one replica of them would
-    # take 16 TiB: a typed error (exit 1, a skipped cutoff in a scan), not a
-    # numpy MemoryError traceback.  The child process limits its own
-    # address space to 3 GB, so nothing that large is ever allocated.
-    counts = {1: 10**12, 2: 7 * 10**11, 3: 3 * 10**11, 10: 2 * 10**11, 1000: 12345}
+    # 2.2e17 observations ingest and fit, but one replica of them is drawn
+    # as its table with 2.3e12 envelope values past its 2^16 cells (1.8e9
+    # at a = 2), which take 18 TB (14 GB): a typed error (exit 1, a skipped
+    # cutoff in a scan), not a numpy MemoryError traceback.  The child
+    # process limits its own address space to 3 GB, so nothing that large
+    # is ever allocated.
+    counts = {1: 10**17, 2: 7 * 10**16, 3: 3 * 10**16, 10: 2 * 10**16, 1000: 12345 * 10**5}
     f = tmp_path / "huge.counts"
     f.write_text("".join(f"{v} {c}\n" for v, c in counts.items()), encoding="utf-8")
     child = textwrap.dedent(f"""

@@ -107,14 +107,27 @@ def with_pass_sizes(monkeypatch, size):
     monkeypatch.setattr(pipeline, "_BLOCK_VALUES", size)
 
 
+# The table rule's threshold, at which these tests' replicas are rows, and
+# 0 cell draws, at which every replica is drawn as its table.
+TABLE_DRAWS = (dplfit.sampling._TABLE_DRAWS, 0)
+
+
 def test_replicas_do_not_depend_on_pass_sizes(monkeypatch):
     data = power_law_data(1.2, 200, seed=31)
-    default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
-    larger = fit_at_a(data, 1, 600, seed=8, keep_d_sims=True)
-    assert larger.d_sims[:300] == default.d_sims
-    for size in PASS_SIZES:
-        with_pass_sizes(monkeypatch, size)
-        assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
+    defaults = []
+    for table_draws in TABLE_DRAWS:
+        monkeypatch.undo()
+        monkeypatch.setattr(dplfit.sampling, "_TABLE_DRAWS", table_draws)
+        default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+        larger = fit_at_a(data, 1, 600, seed=8, keep_d_sims=True)
+        assert larger.d_sims[:300] == default.d_sims
+        for size in PASS_SIZES:
+            with_pass_sizes(monkeypatch, size)
+            assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
+        defaults.append(default)
+    # the rows and the tables are different replicas
+    rows, tables = defaults
+    assert rows.d_sims != tables.d_sims
 
 
 def traced_peak(fn, *args):
@@ -143,14 +156,14 @@ def first_block(data, a, n_sim, seed, workers):
 def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # the draw, reduce and block budgets bound what one fit holds at once:
     # a tail of about 350 observations (the corpus scan's middle cutoffs)
-    # at n_sim = 1000 peaks at about 4.8 MB inline, as in a scan's worker
+    # at n_sim = 1000 peaks at about 3.3 MB inline, as in a scan's worker
     # process
     data = power_law_data(1.13, 350, seed=5, a=23)
     n_a = data.truncated(23).size
     assert pipeline._workers(1000, 1000 * n_a) == 1
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
     # split into two slices of 500 replicas on two processes, one block of
-    # 250 replicas peaks at about 4.7 MB in its process
+    # 250 replicas peaks at about 3.2 MB in its process
     assert traced_peak(pipeline._attempt, *first_block(data, 23, 1000, 3, 2)) <= 8 * 2**20
     # and the calling process, which holds the slices' distances, at about
     # 0.4 MB
@@ -212,31 +225,35 @@ def never_solving(seed, replicas, attempts):
 
 @pytest.mark.parametrize("processes", [1, 2, 3, 8])
 def test_processes_change_no_result(monkeypatch, processes):
-    data = power_law_data(1.2, 200, seed=31)
-    default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
-    # a replica of this tail whose values are all 1 lands on the bound and
-    # is regenerated (16 of 100)
-    tiny = IntegerSample([1] * 11 + [2] * 2)
-    regenerating = fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True)
-    assert regenerating.regenerated > 10
-    scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
-    serial_scan = scan(data, scan_config)
-    tails = [data.truncated(a).size for a in scan_config.a_values]
-    force_cpus(monkeypatch, processes)
-    assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == processes
-    assert pipeline._workers(300, 100 * sum(tails)) == processes
-    # on more than one process the scan splits its first cutoff, which
-    # holds more than a P-th of its work, into slices of its replicas
-    assert (-(-processes * tails[0] // sum(tails)) > 1) == (processes > 1)
-    # and at the pass sizes of the tests above, but for a reduce unit past
-    # any ensemble, which would keep the fits from splitting
-    for size in (None,) + PASS_SIZES:
-        if size is not None:
-            with_pass_sizes(monkeypatch, size)
-            monkeypatch.setattr(pipeline, "_UNIT", min(size, 64))
-        assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
-        assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
-        assert scan(data, scan_config) == serial_scan
+    # replicas drawn where the rule draws them, and all as tables
+    for table_draws in TABLE_DRAWS:
+        monkeypatch.undo()
+        monkeypatch.setattr(dplfit.sampling, "_TABLE_DRAWS", table_draws)
+        data = power_law_data(1.2, 200, seed=31)
+        default = fit_at_a(data, 1, 300, seed=8, keep_d_sims=True)
+        # a replica of this tail whose values are all 1 lands on the bound
+        # and is regenerated (16 of 100 drawn as rows)
+        tiny = IntegerSample([1] * 11 + [2] * 2)
+        regenerating = fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True)
+        assert regenerating.regenerated > 10
+        scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
+        serial_scan = scan(data, scan_config)
+        tails = [data.truncated(a).size for a in scan_config.a_values]
+        force_cpus(monkeypatch, processes)
+        assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == processes
+        assert pipeline._workers(300, 100 * sum(tails)) == processes
+        # on more than one process the scan splits its first cutoff, which
+        # holds more than a P-th of its work, into slices of its replicas
+        assert (-(-processes * tails[0] // sum(tails)) > 1) == (processes > 1)
+        # and at the pass sizes of the tests above, but for a reduce unit
+        # past any ensemble, which would keep the fits from splitting
+        for size in (None,) + PASS_SIZES:
+            if size is not None:
+                with_pass_sizes(monkeypatch, size)
+                monkeypatch.setattr(pipeline, "_UNIT", min(size, 64))
+            assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
+            assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
+            assert scan(data, scan_config) == serial_scan
     # the retry budget counts the regenerations of all of a fit's slices:
     # the 100 replicas stuck for 301 attempts pass 100 n_sim = 30000
     monkeypatch.setattr(pipeline, "_attempt", never_solving(8, np.arange(0, 300, 3), 301))
@@ -315,7 +332,8 @@ def test_errors_in_one_block_propagate(monkeypatch):
 
 def test_pooled_fit_stays_within_its_memory_budget(monkeypatch):
     # the reduce and block budgets hold per process: a block of a
-    # 300000-observation tail peaks at about 4.2 MB in its process
+    # 300000-observation tail, drawn as tables, peaks at about 0.7 MB in
+    # its process
     data = power_law_data(1.13, 300000, seed=5)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     assert pipeline._workers(20, 20 * data.size) == 2
@@ -366,13 +384,15 @@ def test_cutoffs_must_be_whole_numbers():
 
 
 @pytest.mark.parametrize("beta,n,a,seed", [
-    (1.3, 60, 2, 0),             # one group of all 100 replicas
-    (1.1, 4000, 1, 2**63 + 11),  # one replica a group, its batch in one pass
-    (1.6, 7000, 1, 2**64 - 1),   # batches drawn in passes of _CHUNK proposals
+    (1.3, 60, 2, 0),             # rows: one group of all 100 replicas
+    (1.1, 4000, 1, 2**63 + 11),  # tables of 41 cells
+    (1.6, 7000, 1, 2**64 - 1),   # tables of 26 cells
+    (0.3, 3000, 1, 5),           # tables of 166 cells, 19% of draws past them
 ])
 def test_fit_at_a_equals_one_replica_at_a_time(beta, n, a, seed):
-    # group draws, block seeding and the flat reduction give every replica
-    # the distance it has when drawn, refit and measured alone: bit for bit
+    # group draws, tables, block seeding and the flat reduction give every
+    # replica the distance it has when drawn, refit and measured alone:
+    # bit for bit
     data = power_law_data(beta, n, seed=43)
     fit = fit_at_a(data, a, 100, seed=seed, keep_d_sims=True)
     ref = [replica_one_at_a_time(fit.beta_emp, a, fit.n_a, seed, i)
@@ -465,6 +485,21 @@ def test_fit_at_a_huge_cutoff_and_exponent():
     ref = [replica_one_at_a_time(fit.beta_emp, 10**9, fit.n_a, 4, i)
            for i in range(10)]
     assert fit.d_sims[:10] == tuple(d for _, d in ref)
+
+
+def test_fit_at_a_simulates_a_tail_of_1e17_as_tables():
+    # no row of 10^17 variates fits in memory, but its table does: 17472
+    # cells and about 5800 envelope values a replica, with the block's
+    # running count past 2^63; each replica is the one sample_n draws,
+    # refit and measured alone
+    params = SamplerParams(1, 3.0)
+    data = sample_n(params, 10**17, RngStream(1))
+    fit = fit_at_a(data, 1, 100, seed=3, keep_d_sims=True)
+    assert (fit.n_a, fit.regenerated) == (10**17, 0)
+    for i in (0, 57, 99):
+        sim = sample_n(SamplerParams(1, fit.beta_emp), 10**17, RngStream(3, i))
+        beta_sim = fit_beta(sufficient_stat(sim), 1).beta_emp
+        assert ks_statistic(sim, PowerLawModel(1, beta_sim)).d == fit.d_sims[i]
 
 
 def test_fit_at_a_propagates_empty_tail():

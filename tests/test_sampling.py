@@ -9,15 +9,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import dplfit.sampling
-from dplfit.distribution import PowerLawModel
+from dplfit.distribution import IntegerSample, PowerLawModel
+from dplfit.errors import TailTooLargeError
 from dplfit.sampling import (
     _CHUNK,
     RngStream,
     SamplerParams,
     _proposals_from_uniforms,
     accept_test,
+    composite,
+    draws_table,
     sample_n,
     sample_rows,
+    sample_tables,
     stream_starts,
 )
 
@@ -26,6 +30,7 @@ from oracles import (
     expanded,
     proposal_mass,
     table,
+    table_one_at_a_time,
     uniforms,
     variates_one_at_a_time,
 )
@@ -183,18 +188,21 @@ def test_count_one():
 @pytest.mark.parametrize("a,beta,count", [(1, 1.13, 50000), (3, 0.4, 3000), (1, 2.0, 20)])
 def test_chunked_test_matches_whole_batch(monkeypatch, a, beta, count):
     # drawing proposals all in one pass, or in passes far smaller than the
-    # batch rule asks for, gives the variates of the real rule: the
-    # stream's first accepts
+    # batch rule asks for, gives the row of the real rule: the stream's
+    # first accepts
     params = SamplerParams(a, beta)
-    got = sample_n(params, count, RngStream(77, 1))
+
+    def row():
+        return sample_rows(params, count, stream_starts(77, [1]))[0]
+
+    got = row()
     expected = variates_one_at_a_time(params, count, RngStream(77, 1))
-    assert expanded(got).tolist() == expected.tolist()
-    got = table(got)
+    assert np.sort(got).tolist() == expected.tolist()
     for chunk, rule in ((2**62, lambda params, need: 4 * need + 9),
                         (7, lambda params, need: need // 3 + 2)):
         monkeypatch.setattr(dplfit.sampling, "_batch_size", rule)
         monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
-        assert table(sample_n(params, count, RngStream(77, 1))) == got
+        assert row().tolist() == got.tolist()
 
 
 def test_count_zero_rejected():
@@ -280,17 +288,19 @@ def test_variates_keep_their_digest(beta, digest):
 
 
 @pytest.mark.parametrize("beta,digest", [
-    (0.3, "88ce7530ba8a2fb010f5614bd4610ad12bae7b825d07563e5f3f25f5547d4cc9"),
-    (1.13, "bf17837edf0abe168e5dc79647c022a0dc300b30a4b56ff5aa6e878da7a7e1f2"),
-    (5.0, "ac54686c3181f9812ff2ff302dc7d41bb8ed55aae15d82f076afa6360a61bd02"),
+    (0.3, "30437c58b2ac8cd8dfa48793820954928e08c8bd9c26f017580babe4a6885ee2"),
+    (1.13, "b9e30b0e876c04ef3081d035059423a5cef2c68af3e52437c15d64541ebd53ea"),
+    (5.0, "cdbec78c4962ef75538dbbf86afa56fcaf065b27bfba5234e71f0332042e4e5b"),
 ])
 def test_sample_n_keeps_its_digest(beta, digest):
-    # samples of 50 variates and of 20000, whose first batch is cut at
-    # _CHUNK proposals, from a stream at the end of a 256-id key block and
-    # one past the retry base: unchanged since the stream layout was fixed
+    # samples of 50 variates, a row, and of 20000, a table whose rows
+    # would have had their first batch cut at _CHUNK proposals, from a
+    # stream at the end of a 256-id key block and one past the retry base:
+    # unchanged since replicas with cells became tables
     params = SamplerParams(1, beta)
     assert dplfit.sampling._batch_size(params, 50) < _CHUNK
     assert dplfit.sampling._batch_size(params, 20000) > _CHUNK
+    assert draws_table(params, 20000) and not draws_table(params, 50)
     h = hashlib.sha256()
     for count in (50, 20000):
         for seed, stream in ((7, 255), (2**64 - 1, 2**32 + 1)):
@@ -313,6 +323,187 @@ def test_rate_bounds_the_acceptance_rate_from_below(a, beta):
         top ** -beta / beta + 0.5 * top ** -(beta + 1))
     exact = head + tail
     assert 0.98 * exact <= params.rate <= exact
+
+
+# ----------------------------------------------------------------- tables
+
+
+def test_sampler_arguments_are_checked(monkeypatch):
+    # a fractional stream id once drew stream 1, and a fractional cutoff
+    # drew off the integer law
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        RngStream(5, 1.5)
+    with pytest.raises(ValueError, match="cutoff 2.5 is not a whole number"):
+        SamplerParams(2.5, 1.0)
+    # whole numbers of any numeric type stay valid; the cutoff is an int
+    assert SamplerParams(np.int64(2), 1.0) == SamplerParams(2.0, 1.0) == SamplerParams(2, 1.0)
+    assert type(SamplerParams(np.float64(2.0), 1.0).a) is int
+    params, rng = SamplerParams(1, 1.0), RngStream(1)
+    assert table(sample_n(params, np.int64(30), RngStream(1, np.int64(3)))) == table(
+        sample_n(params, 30, RngStream(1, 3)))
+
+    # a fractional count is refused before anything is drawn, not inside numpy
+    def no_draws(*args):
+        raise AssertionError("a stream was keyed")
+
+    monkeypatch.setattr(dplfit.sampling, "stream_starts", no_draws)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_n(params, 2.5, rng)
+
+
+@pytest.mark.parametrize("a,beta,count", [
+    (1, 1.13, 22035), (1, 1.13, 300000), (3, 0.5, 10**5), (1, 5.0, 10**6), (1, 0.3, 10**5),
+    (10, 1.13, 10**4), (1, 0.05, 10**7), (7, 2.0, 10**9), (1, 1.13, 10**12),
+    (10**9, 40.0, 10**12), (2**62, 0.5, 10**6),
+])
+def test_pvals_are_the_textbook_weights(a, beta, count):
+    # cell n weighs (a/n)^s and the envelope W = (a/T)^s t_T/(t_T - 1), here
+    # at 50 digits; the cells are the n whose expected count is at least 1
+    # by the sampler's lower bound of Z, at most 2^16 of them
+    mpmath = pytest.importorskip("mpmath")
+    params = SamplerParams(a, beta)
+    tail, pvals = composite(params, count)
+    cells = tail.a - a
+    assert tail == SamplerParams(a + cells, beta) and pvals.size == cells + 1
+    with mpmath.workdps(50):
+        s, A = mpmath.mpf(beta) + 1, mpmath.mpf(a)
+        weights = [(A / n) ** s for n in range(a, tail.a + 1)]
+        expected = [float(count * w / params.norm_bound) for w in weights]
+        t_T = (1 + 1 / mpmath.mpf(tail.a)) ** mpmath.mpf(beta)
+        weights[-1] *= t_T / (t_T - 1)
+        total = mpmath.fsum(weights)
+        exact = np.array([float(w / total) for w in weights])
+    assert cells == dplfit.sampling._MAX_CELLS or expected[-1] < 1.0
+    assert min(expected[:cells], default=1.0) >= 1.0
+    # within 1e-15 absolute, and relative to each weight within 1e-15 plus
+    # the error of (a/n)^s taken as exp(-s log1p((n - a)/a)), which grows
+    # with s ln(n/a): 3.9e-15 relative at n = 2^16 at beta = 1.13
+    n = np.arange(a, tail.a + 1, dtype=np.float64)
+    assert np.all(np.abs(pvals - exact) <= 1e-15)
+    assert np.all(np.abs(pvals - exact) <= 1e-15 * exact * (1.0 + (beta + 1.0) * np.log(n / a)))
+
+
+def chi_squared_of_tables(values, counts, model, edges):
+    """Chi-squared statistic of a pooled table against the model's law
+    below the sampler's 2^63 cap, over the bins [edges[i], edges[i + 1])
+    and [edges[-1], cap); returns (stat, dof)."""
+    edges = np.asarray(edges, dtype=np.int64)
+    bins = np.searchsorted(edges, values, side="right") - 1
+    obs = np.bincount(bins, weights=counts, minlength=edges.size)
+    cap = int(dplfit.sampling._MAX_PROPOSAL)
+    survival = model.survival(np.append(edges, cap))
+    expected = (survival[:-1] - survival[1:]) / (1.0 - survival[-1]) * counts.sum()
+    assert expected.min() > 5, "bins too thin for the chi-squared approximation"
+    return float(((obs - expected) ** 2 / expected).sum()), edges.size - 1
+
+
+@pytest.mark.parametrize("a,beta,count,replicas", [
+    (1, 1.13, 22035, 100),      # the corpus scan's a = 1
+    (3, 0.5, 10**5, 20),
+    (1, 5.0, 10**5, 20),
+    (1, 0.3, 10**5, 20),
+    (1, 0.05, 3 * 10**5, 5),    # ~11% of the proposal mass past the cap
+    (10**9, 0.05, 10**4, 20),   # no cells: the envelope alone
+    (1, 1.13, 10**11, 10),      # the 2^16 cells of the cap
+])
+def test_pooled_tables_follow_the_law(a, beta, count, replicas):
+    # replicas drawn as tables, pooled: one chi-squared test at the 0.01
+    # level over the cutoff's first values, the values around the
+    # envelope's cutoff T and wide bins past it, seeds pinned
+    params = SamplerParams(a, beta)
+    tail, _ = composite(params, count)
+    values, counts, lengths = sample_tables(params, count, stream_starts(404, range(replicas)))
+    assert np.all(np.add.reduceat(counts, np.cumsum(lengths) - lengths) == count)
+    model = PowerLawModel(a, beta)
+    total = count * replicas
+    # bins from the cutoff up: the first values, those at the cells' end
+    # and geometric steps, each edge kept where the bin it closes and the
+    # tail past it both hold at least 20 expected draws
+    candidates = set(range(a + 1, a + 40)) | set(range(tail.a - 2, tail.a + 3))
+    candidates |= set(np.geomspace(a + 1, 2**62, 80).astype(np.int64).tolist())
+    edges = [a]
+    for edge in sorted(n for n in candidates if n > a):
+        mass = model.survival(edges[-1]) - model.survival(edge)
+        if total * min(mass, model.survival(edge)) >= 20:
+            edges.append(edge)
+    stat, dof = chi_squared_of_tables(values, counts, model, edges)
+    assert stat < chi2.ppf(0.99, dof)
+
+
+@pytest.mark.parametrize("a,beta,count", [(1, 1.13, 1), (10**3, 1.13, 100), (10**9, 40.0, 200),
+                                          (1, 1e-3, 1000)])
+def test_replica_without_cells_is_its_row(a, beta, count):
+    # with no cells pvals is (1,), the multinomial draws nothing, and a
+    # replica is the first accepts of its stream: its row of sample_rows
+    params = SamplerParams(a, beta)
+    assert composite(params, count)[1].tolist() == [1.0]
+    assert not draws_table(params, count)
+    starts = list(stream_starts(8, STREAMS))
+    values, counts, lengths = sample_tables(params, count, starts)
+    at = np.cumsum(lengths) - lengths
+    for row, lo, size in zip(sample_rows(params, count, starts), at, lengths):
+        assert table(IntegerSample(row)) == (values[lo:lo + size].tolist(),
+                                             counts[lo:lo + size].tolist())
+
+
+@pytest.mark.parametrize("a,beta,count", [
+    (1, 1.13, 22035), (2, 0.9, 3000), (3, 0.4, 3000), (1, 5.0, 4000), (10, 1.13, 10**4),
+    (1, 0.05, 10**5),
+])
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+def test_tables_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
+    # each replica of a group drawn as tables, its envelope proposals in
+    # passes of 7 or of _CHUNK, is the replica its own stream gives when
+    # drawn alone by the oracle, and sample_n draws that replica
+    params = SamplerParams(a, beta)
+    assert draws_table(params, count)
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+    streams = STREAMS[:6]
+    values, counts, lengths = sample_tables(params, count, stream_starts(2**64 - 1, streams))
+    at = np.cumsum(lengths) - lengths
+    for lo, size, stream in zip(at, lengths, streams):
+        expected = IntegerSample(table_one_at_a_time(params, count, RngStream(2**64 - 1, stream)))
+        got = (values[lo:lo + size].tolist(), counts[lo:lo + size].tolist())
+        assert got == table(expected)
+        assert table(sample_n(params, count, RngStream(2**64 - 1, stream))) == got
+
+
+def test_table_rule_is_the_expected_cell_draws():
+    # a replica is drawn as its table when its cells are expected to take
+    # at least _TABLE_DRAWS of its draws, and never with no cells
+    threshold = dplfit.sampling._TABLE_DRAWS
+    for a, beta in [(1, 1.13), (7, 1.13), (50, 0.5), (1, 5.0)]:
+        params = SamplerParams(a, beta)
+        for count in (1, 100, 1000, 3000, 10**4, 10**6):
+            share = 1.0 - composite(params, count)[1][-1]
+            assert draws_table(params, count) == (count * share >= threshold)
+    assert draws_table(SamplerParams(1, 1.13), 22035)
+    assert not draws_table(SamplerParams(1, 1.13), 1000)
+
+
+class _ShortOfMemory:
+    """numpy, as the sampler sees it when no array of more than 10^6
+    elements can be allocated."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=None):
+        if np.prod(shape) > 10**6:
+            raise MemoryError
+        return np.empty(shape, dtype=dtype)
+
+
+def test_table_too_large_for_memory_is_a_typed_error(monkeypatch):
+    # the envelope's values are allocated once, for its first round's
+    # trials (about 2e6 here), so a replica whose envelope does not fit
+    # fails at once, with the replica's size in the message
+    params = SamplerParams(1, 1.13)
+    assert 10**6 < 10**12 * composite(params, 10**12)[1][-1] < 10**7
+    monkeypatch.setattr(dplfit.sampling, "np", _ShortOfMemory())
+    with pytest.raises(TailTooLargeError, match=f"a replica of {10**12} observations"):
+        sample_tables(params, 10**12, stream_starts(1, [0]))
 
 
 # ------------------------------------------- stream keys and group draws
@@ -356,6 +547,10 @@ def test_group_rows_equal_one_at_a_time(monkeypatch, seed, count, group):
     params = SamplerParams(2, 0.9)
     monkeypatch.setattr(dplfit.sampling, "_CHUNK",
                         max(1, group // 3) * dplfit.sampling._batch_size(params, count))
+    # sample_n draws the replicas of 3000 and 6000 as tables, which
+    # test_tables_equal_one_at_a_time checks; drawn as rows, every replica
+    # is its stream's row
+    monkeypatch.setattr(dplfit.sampling, "_TABLE_DRAWS", math.inf)
     streams = STREAMS + tuple(range(300, 300 + 2 * group))
     rows = sample_rows(params, count, stream_starts(seed, streams))
     assert rows.shape == (len(streams), count)

@@ -62,14 +62,14 @@ def test_report_digests_prints_each_output_digest(tmp_path):
 # change that moves a report's bytes on purpose records the new digests.
 REPORT_DIGESTS = {
     "corpus_scan": {
-        "scan_1596810411.json": "10d56647a9d91bfcb6e9efd504bf1c5def7f03ff77003008bffe02457e15bbf9",
+        "scan_1596810411.json": "f293965a8c14bade67b9bcd6aaaafbbaf2905f737fd7d3a503514fea2c8087c9",
     },
     "large_tail_fit": {
-        "fit_1596810411.json": "ef7c1862fdc2bb88ddc7e93f863c4eddb96c63c1d171448f8324372f460d0699",
+        "fit_1596810411.json": "c82bccfe2b849345525d33dba0c888cd0c8d878d44c10f131b3ff1e423694efe",
     },
     "counts_ingest": {
         "curves.tsv": "6d57683cb9ab22359c0aa9e3402efdeff37f5108302df25c5803eafaf8e47011",
-        "fit.json": "c0dd1091766a914153f1a2b97d8cfc351c7db4f46daa55481d5a040801692853",
+        "fit.json": "7420be02440aaf2011fea9bab5abc7945bb5c2d6b233ead052f8999be4df500b",
     },
 }
 
@@ -93,4 +93,4 @@ def test_readme_library_example_prints_its_scan():
     section = readme.split("\n## Library use\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     proc = run_python("-c", code)
-    assert proc.stdout == "1 1.138263251335391 0.007668072096219572\n"
+    assert proc.stdout == "1 1.130404387554632 0.007615129743917035\n"
