@@ -3,21 +3,16 @@ scan over cutoffs that selects a* = min{a : p > threshold}.
 
 A replica of a tail of N_a observations is N_a i.i.d. draws of the
 model fitted to it, from its own substream: the replica ``sample_n``
-draws.  Where the sampler's ``draws_table`` says it is cheaper, it is
-drawn straight as its table of distinct values and counts: one
-multinomial over the values it is sure to hit (its cells) and an
-envelope above them, with rejection only in the envelope
-(``sample_tables``).  Otherwise it is drawn as a row of N_a variates
-(``sample_rows``) and tabulated here.
+draws.  The sampler returns every replica as its table of distinct
+values and counts (``sample_replicas``), however it was drawn.
 
 Replicas are refit and measured in blocks of about ``_BLOCK_VALUES``
-distinct values, with one ``solve_betas`` and one ``ks_distances`` call
-per block.  A block's replicas come as their tables (``_tables``) or are
-drawn as rows, sorted and reduced in units of about ``_UNIT`` variates
-(``_tabulate``); either way each replica becomes its ln G and its table
-of distinct values and N_v, flat, which ``ks_distances`` reads as they
-are.  Both sizes are memory budgets: they bound what one process of a
-fit holds at once and change no result.
+distinct values, with one sampler call, one ``solve_betas`` and one
+``ks_distances`` call per block: each replica's table becomes its ln G
+and its distinct values and N_v, flat (``_tables``), which
+``ks_distances`` reads as they are.  The block size is a memory budget,
+as the sampler's unit is: they bound what one process of a fit holds at
+once and change no result.
 
 A fit's or a scan's replicas run as jobs, each a run of consecutive
 replica indices of one cutoff, on one pool of forked processes (``_fits``);
@@ -38,14 +33,7 @@ from .distribution import PowerLawModel, _whole, log_geo_means, sufficient_stat
 from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
 from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import SOLVED, fit_beta, solve_betas
-from .sampling import (
-    SamplerParams,
-    draws_table,
-    replica_stream,
-    sample_rows,
-    sample_tables,
-    stream_starts,
-)
+from . import sampling
 
 # Replicas are refit and measured in blocks of about this many distinct
 # values, as many replicas as the empirical tail's distinct-value count
@@ -53,11 +41,6 @@ from .sampling import (
 # are held at once.  The replicas are draws of the tail's size from the
 # model fitted to it, so its count is a fair estimate of theirs.
 _BLOCK_VALUES = 1 << 15
-
-# A block's replicas are drawn, sorted and tabulated in units of about this
-# many variates (at least one replica a unit), so a small tail's replicas
-# are sorted and tabulated hundreds at once.
-_UNIT = 1 << 18
 
 # A fit whose replicas lose more than this proposal mass to the sampler's
 # 2^63 cap is reported unreliable: its replicas are biased toward small
@@ -145,9 +128,9 @@ def _usable_cpus():
 def _workers(jobs, variates):
     """Processes to fork for ``jobs`` independent jobs that draw ``variates``
     variates in all: at most one a usable CPU and one a job, and no more
-    than give each process a whole ``_UNIT`` reduce unit, since less work
-    takes less time than the fork."""
-    workers = min(jobs, variates // _UNIT)
+    than give each process a whole sampler unit of ``_UNIT`` variates,
+    since less work takes less time than the fork."""
+    workers = min(jobs, variates // sampling._UNIT)
     return 1 if workers < 2 else min(workers, _usable_cpus())
 
 
@@ -172,31 +155,13 @@ def _processes(workers):
     yield map, 1
 
 
-def _tabulate(n_a, rows):
-    """Sort ``rows`` in place and return each row's ln G and all their
-    distinct values v, N_v and distinct-value counts, flat.
-
-    A row's distinct values start where its sorted values change, and a
-    value's count is the distance to the next start.  ln G is each row's
-    segment of one ``log_geo_means`` call, the function ``sufficient_stat``
-    calls with one segment, so it is bit-identical to it.
-    """
-    rows.sort(axis=1)
-    new = np.empty(rows.shape, dtype=bool)
-    new[:, 0] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
-    at = np.flatnonzero(new)
-    values = rows.ravel()[at]
-    counts = np.diff(at, append=rows.size)
-    distinct = np.count_nonzero(new, axis=1)
-    log_g = log_geo_means(values, counts, np.cumsum(distinct) - distinct, n_a)
-    return log_g, values, n_a - at % n_a, distinct
-
-
 def _tables(n_a, values, counts, lengths):
     """Replicas of ``n_a`` observations given as their tables of distinct
-    values and counts, flat (``sample_tables``): each replica's ln G, and
-    the values, their N_v and the lengths, as ``_tabulate`` returns them."""
+    values and counts, flat, and each one's number of distinct values
+    (``sample_replicas``): each replica's ln G, and the values, their N_v
+    and the lengths, flat.  ln G is each replica's segment of one
+    ``log_geo_means`` call, the function ``sufficient_stat`` calls with
+    one segment, so it is bit-identical to it."""
     first = np.cumsum(lengths) - lengths
     log_g = log_geo_means(values, counts, first, n_a)
     # the running sum of the block's counts may pass 2^63 and wrap, but a
@@ -207,28 +172,17 @@ def _tables(n_a, values, counts, lengths):
 
 def _attempt(params, n_a, starts):
     """Draw, refit and measure the replicas of start states ``starts``: one
-    ``solve_betas`` and one ``ks_distances`` call over all of them.  Returns
-    which of them solved and those ones' KS distances.
+    ``sample_replicas``, one ``solve_betas`` and one ``ks_distances`` call
+    over all of them.  Returns which of them solved and those ones' KS
+    distances.
 
     A replica whose values all equal the cutoff has its root past the upper
     bound and comes back AT_BOUND, so it needs no test of its own; each
     replica is measured independently of the others, so measuring the
     unsolved ones changes no solved replica's distance.
-
-    Replicas that ``draws_table`` draws as tables are drawn all at once
-    (``sample_tables``).  Others are drawn as rows and tabulated
-    (``_tabulate``) a unit of about ``_UNIT`` variates at a time; only
-    ``_tabulate`` holds a unit's rows, so they are let go before the next
-    unit is drawn.
     """
     a = params.a
-    if draws_table(params, n_a):
-        parts = [_tables(n_a, *sample_tables(params, n_a, starts))]
-    else:
-        unit = max(1, _UNIT // n_a)
-        parts = [_tabulate(n_a, sample_rows(params, n_a, starts[lo:lo + unit]))
-                 for lo in range(0, len(starts), unit)]
-    log_g, values, above, lengths = [np.concatenate(arrays) for arrays in zip(*parts)]
+    log_g, values, above, lengths = _tables(n_a, *sampling.sample_replicas(params, n_a, starts))
     beta, _, status = solve_betas(log_g, a)
     solved = status == SOLVED
     return solved, ks_distances(beta + 1.0, a, values, above, lengths)[solved]
@@ -250,13 +204,13 @@ def _job(task):
         tail = sample.truncated(a)
         mle = fit_beta(sufficient_stat(tail), a)
         d_emp = ks_statistic(tail, PowerLawModel(a, mle.beta_emp)).d
-        params = SamplerParams(a, mle.beta_emp)
+        params = sampling.SamplerParams(a, mle.beta_emp)
         block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
         d_sims = np.empty(hi - lo)
         todo = np.arange(lo, hi)
         regenerated = attempt = 0
         while todo.size and regenerated <= 100 * n_sim:
-            starts = stream_starts(seed, replica_stream(todo, attempt).tolist())
+            starts = sampling.stream_starts(seed, sampling.replica_stream(todo, attempt).tolist())
             unsolved = []
             for ids in np.array_split(todo, -(-todo.size // block)):
                 solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)))

@@ -22,7 +22,7 @@ that definition, so it changes no variate.
 
 A replica of N draws at (a, beta), s = beta + 1, whose values a <= n < T
 are each expected at least once, N (a/n)^s / Z >= 1 with Z taken from
-below, is drawn as its table instead (``composite``, ``sample_tables``).
+below, is drawn as its table instead (``composite``, ``_draw_table``).
 Those values are its cells, at most ``_MAX_CELLS``, and cell n weighs
 (a/n)^s; everything at or above T is the envelope, the proposal at cutoff
 T, of weight W = (a/T)^s t_T/(t_T - 1).  From the start of the replica's
@@ -33,8 +33,9 @@ they reject are still needed.  Rejected trials restart from the whole
 composite, not inside the envelope, so the draws are exactly i.i.d. f,
 conditioned on y < 2^63 as a row's are, in O(cells + envelope) work, not
 O(N).  With no cells the multinomial draws nothing and the replica is
-its row.  A replica is drawn as its table only where that is cheaper
-(``draws_table``).
+its row.  A replica is drawn as its table only where its cells are
+expected to take at least ``_TABLE_DRAWS`` of its draws, where that is
+the cheaper.
 
 Rows are drawn a group at a time (``sample_rows``): each row's start
 state is set on one reused bit generator, and the group's first batches
@@ -42,8 +43,12 @@ are one (rows x 2 batch) array of uniforms whose proposals are made and
 tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
 that comes up short, as every row of a tail larger than ``_CHUNK``
 proposals does, goes on alone from the end of its first batch, ``_CHUNK``
-proposals at a time.  An ``RngStream`` only names a substream, and
-``sample_n`` draws that substream's replica, as a table or as a row.
+proposals at a time.
+
+However a replica is drawn, what the sampler returns is its table of
+distinct values and counts (``sample_replicas``): every caller reads
+replicas in that one shape.  An ``RngStream`` only names a substream, and
+``sample_n`` draws that substream's replica.
 """
 
 import math
@@ -75,6 +80,11 @@ _M128 = (1 << 128) - 1
 # passes of this many.  Its temporaries stay in cache and are reused from
 # pass to pass; at 2^16 proposals a draw runs slower, not faster.
 _CHUNK = 1 << 14
+
+# Rows are drawn, sorted and reduced to their tables in units of about
+# this many variates (at least one row a unit), so a small tail's rows are
+# sorted hundreds at once and only one unit's rows are held at a time.
+_UNIT = 1 << 18
 
 # A replica's cells are at most this many values from the cutoff up.
 _MAX_CELLS = 1 << 16
@@ -152,7 +162,12 @@ class SamplerParams:
     """Cutoff and exponent plus the constants the sampler derives from them.
 
     The cutoff must be a whole number, of any numeric type, and is held as
-    a Python int."""
+    a Python int.  The 2^63 cap must leave the proposals at least 2^-20 of
+    their mass, 1 - ``lost_mass`` >= 2^-20, or ``ValueError``: below that a
+    variate takes over 2^20 proposals on average, and at a cutoff at or
+    past the cap every proposal is redrawn, so a draw never ends.  A fitted
+    exponent keeps far more, since the tail it is fitted to lies below the
+    cap."""
 
     a: int
     beta: float
@@ -179,6 +194,9 @@ class SamplerParams:
         z = 1.0 + math.exp(-(self.beta + 1.0) * log_step) * ((self.a + 1.0) / self.beta + 0.5)
         object.__setattr__(self, "ta_minus_1", tam1)
         object.__setattr__(self, "lost_mass", (self.a / _MAX_PROPOSAL) ** self.beta)
+        if not self.lost_mass <= 1.0 - 2.0**-20:
+            raise ValueError(f"the 2^63 proposal cap leaves less than 2^-20 of the proposal "
+                             f"mass at cutoff {self.a}, exponent {self.beta}")
         object.__setattr__(self, "norm_bound", z)
         object.__setattr__(self, "rate", min(1.0, tam1 / (1.0 + tam1) * z))
 
@@ -255,9 +273,8 @@ def sample_rows(params, count, starts):
     in ``starts``: a (len(starts) x count) array.
 
     Row i holds the first ``count`` accepts of substream (seed, id_i) when
-    start i is the ``stream_starts`` of (seed, id_i), and ``sample_n(params,
-    count, RngStream(seed, id_i))`` draws that row unless ``draws_table``
-    draws the replica as its table.  The rows are
+    start i is the ``stream_starts`` of (seed, id_i): that substream's
+    replica, where ``sample_replicas`` draws it as a row.  The rows are
     drawn through one reused bit generator in groups of as many rows as
     first batches fit in ``_CHUNK`` proposals, at least one: a group's
     first batches are drawn as one (rows x 2 batch) array and tested in one
@@ -317,13 +334,6 @@ def composite(params, count):
     return tail, weights / weights.sum()
 
 
-def draws_table(params, count):
-    """Whether a replica of ``count`` draws at ``params`` is drawn as its
-    table (``sample_tables``), not as a row (``sample_rows``): when its
-    cells are expected to take at least ``_TABLE_DRAWS`` of its draws."""
-    return count * (1.0 - composite(params, count)[1][-1]) >= _TABLE_DRAWS
-
-
 def _draw_table(gen, count, tail, pvals):
     """One replica of ``count`` draws from the composite (``composite``) at
     ``gen``'s position: its count of each cell and its accepted envelope
@@ -352,18 +362,48 @@ def _draw_table(gen, count, tail, pvals):
     return tally, envelope[:kept]
 
 
-def sample_tables(params, count, starts):
+def _distinct(flat, lengths):
+    """The tables of segments of ``flat``, each sorted and ``lengths`` long,
+    one after another: their distinct values and counts, flat, and each
+    segment's number of distinct values.
+
+    A value is new where it differs from the one before it or starts a
+    segment, and its count is the distance to the next new value."""
+    ends = np.cumsum(lengths)
+    new = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+    new[ends - lengths] = True
+    at = np.flatnonzero(new)
+    return flat[at[:-1]], np.diff(at), np.diff(np.searchsorted(at, ends), prepend=0)
+
+
+def sample_replicas(params, count, starts):
     """One replica of ``count`` draws per PCG64 start state in ``starts``,
     each as its table: all the replicas' distinct values and counts, flat,
-    one replica after another, and each replica's number of distinct values.
+    one replica after another, and each replica's number of distinct
+    values.
 
-    Each replica is drawn from its start by ``_draw_table``, one after
-    another through one reused bit generator, and the tables are then made
-    in one pass: a replica's cells that were hit, then the distinct values
-    of its envelope.  With no cells a replica is the first ``count``
-    accepts of its stream, the row ``sample_rows`` draws.
+    Replica i is the replica of substream (seed, id_i) when start i is the
+    ``stream_starts`` of (seed, id_i), however many are drawn at once.
+    Where the cells of the composite (``composite``, computed once a call)
+    are expected to take at least ``_TABLE_DRAWS`` of a replica's draws,
+    each replica is drawn from its start by ``_draw_table``, one after
+    another through one reused bit generator, and its table is the cells
+    that were hit, then the distinct values of its envelope.  Otherwise
+    the replicas are the rows of ``sample_rows``, drawn, sorted and reduced
+    to their tables a unit of about ``_UNIT`` variates at a time, so that
+    only one unit's rows are held at once.
     """
+    starts = list(starts)
     tail, pvals = composite(params, count)
+    if count * (1.0 - pvals[-1]) < _TABLE_DRAWS:
+        unit = max(1, _UNIT // count)
+        parts = []
+        for lo in range(0, len(starts), unit):
+            rows = sample_rows(params, count, starts[lo:lo + unit])
+            rows.sort(axis=1)
+            parts.append(_distinct(rows.ravel(), np.full(len(rows), count)))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     cells, hits, envelopes = [], [], []
@@ -371,40 +411,29 @@ def sample_tables(params, count, starts):
         _seek(bitgen, start)
         tally, envelope = _draw_table(gen, count, tail, pvals)
         at = np.flatnonzero(tally)
-        cells.append(at)
+        cells.append(at + params.a)
         hits.append(tally[at])
         envelope.sort()
         envelopes.append(envelope)
+    values, counts, lengths = _distinct(np.concatenate(envelopes), [e.size for e in envelopes])
+    # each replica's hit cells, then its envelope's distinct values
+    cell_lengths = [at.size for at in cells]
     replicas = np.arange(len(cells))
-    cell_of = np.repeat(replicas, [at.size for at in cells])
-    envelope_of = np.repeat(replicas, [e.size for e in envelopes])
-    envelope = np.concatenate(envelopes)
-    new = np.empty(envelope.size, dtype=bool)
-    new[:1] = True
-    new[1:] = (envelope[1:] != envelope[:-1]) | (envelope_of[1:] != envelope_of[:-1])
-    at = np.flatnonzero(new)
-    owner = np.concatenate((cell_of, envelope_of[at]))
+    owner = np.concatenate((np.repeat(replicas, cell_lengths), np.repeat(replicas, lengths)))
     order = np.argsort(owner, kind="stable")
-    values = np.concatenate((np.concatenate(cells) + params.a, envelope[at]))[order]
-    counts = np.concatenate((np.concatenate(hits), np.diff(at, append=envelope.size)))[order]
-    return values, counts, np.bincount(owner, minlength=replicas.size)
+    return (np.concatenate(cells + [values])[order], np.concatenate(hits + [counts])[order],
+            np.add(cell_lengths, lengths))
 
 
 def sample_n(params, count, rng):
     """Draw ``count`` i.i.d. variates with mass f(n) = n^-(beta+1)/zeta(beta+1, a).
 
     They are the replica that the substream ``rng`` names gives, the one
-    a fit's replica on that substream is: its table from
-    ``sample_tables`` where ``draws_table`` says so, else its row of
-    ``sample_rows``, the first ``count`` accepted proposals.  The same
-    variates for the same (seed, stream_id, params, count), however often
-    it is drawn.
+    a fit's replica on that substream is: replica 0 of ``sample_replicas``
+    from its start.  The same variates for the same (seed, stream_id,
+    params, count), however often it is drawn.
     """
     if operator.index(count) < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    starts = stream_starts(rng.seed, [rng.stream_id])
-    if draws_table(params, count):
-        values, counts, _ = sample_tables(params, count, starts)
-        return IntegerSample(values, counts)
-    row, = sample_rows(params, count, starts)
-    return IntegerSample(row)
+    values, counts, _ = sample_replicas(params, count, stream_starts(rng.seed, [rng.stream_id]))
+    return IntegerSample(values, counts)

@@ -9,9 +9,10 @@ time from the uniforms of the substream its ``RngStream`` names
 (``uniforms``, a PCG64 keyed by ``stream_starts`` and set by hand, not by
 the sampler's ``_seek``) in fixed chunks of their own, with no group
 draws and none of the sampler's batch sizes.  A replica that the
-sampler draws as its table takes only its pvals and its path from the
-sampler (``composite``, ``draws_table``); its rounds of multinomial and
-envelope proposals are drawn here.
+sampler draws as its table takes only its pvals from the sampler
+(``composite``); the rule that picks its path (``draws_table``) is
+stated here, and its rounds of multinomial and envelope proposals are
+drawn here.
 """
 
 import numpy as np
@@ -32,7 +33,6 @@ from dplfit.sampling import (
     _proposals_from_uniforms,
     accept_test,
     composite,
-    draws_table,
     replica_stream,
     stream_starts,
 )
@@ -228,6 +228,13 @@ def variates_one_at_a_time(params, count, rng):
     sorted: the first ``count`` accepts among its proposals, proposal k on
     its uniforms 2k and 2k + 1 (``accepted_in_order``)."""
     return np.sort(accepted_in_order(params, count, rng))
+
+
+def draws_table(params, count):
+    """Whether the sampler draws a replica of ``count`` draws at ``params``
+    as its table: when its cells, the composite's all but last pvals, are
+    expected to take at least ``_TABLE_DRAWS`` of its draws."""
+    return count * (1.0 - composite(params, count)[1][-1]) >= dplfit.sampling._TABLE_DRAWS
 
 
 def table_one_at_a_time(params, count, rng):

@@ -635,6 +635,9 @@ def test_fits_over_the_accepted_box_are_finite_or_typed_errors(
             # the sampler's 2^63 cap drops too much of the proposal mass
             lost = SamplerParams(a, fit.beta_emp).lost_mass
             assert fit.reliable == (fit.regenerated <= 0.01 * 100 and lost <= LOST_MASS_LIMIT)
+            # the data lie below the cap, so the fitted exponent keeps over
+            # half the proposal mass, far from the sampler's floor of 2^-20
+            assert lost < 0.5
         f.write_text("".join(f"{v} {c}\n" for v, c in zip(*table(data))), encoding="utf-8")
         out.unlink(missing_ok=True)
         stderr = io.StringIO()
@@ -656,9 +659,11 @@ def test_cli_import_needs_no_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
     # the runtime needs only numpy: every command runs in a process where
     # the test-only packages cannot be imported
+    # 5000 draws: the replicas at cutoff 1 are drawn as count tables, so
+    # the sampler's Generator.multinomial runs here too
     rng = np.random.default_rng(3)
     data = tmp_path / "data.txt"
-    data.write_text("".join(f"{v}\n" for v in rng.zipf(2.13, 400).tolist()), encoding="utf-8")
+    data.write_text("".join(f"{v}\n" for v in rng.zipf(2.13, 5000).tolist()), encoding="utf-8")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("the cat and the dog and the bird\n" * 20, encoding="utf-8")
     commands = [

@@ -18,7 +18,7 @@ from dplfit.distribution import (
     log_geo_means,
     sufficient_stat,
 )
-from dplfit.errors import ConvergenceError, TailTooLargeError
+from dplfit.errors import ConvergenceError, DplfitError, TailTooLargeError
 from dplfit.ks import ks_statistic
 from dplfit.mle import AT_BOUND, SOLVED, fit_beta, solve_betas
 from dplfit.pipeline import (
@@ -95,15 +95,15 @@ def test_replica_distance_uses_own_refit():
         assert d != d_wrong
 
 
-# The draw chunk (proposals), the reduce unit (variates) and the block
-# budget (distinct values) at one row, one proposal and one value a pass, and
-# past any ensemble.
+# The draw chunk (proposals), the sampler's reduce unit (variates) and the
+# block budget (distinct values) at one row, one proposal and one value a
+# pass, and past any ensemble.
 PASS_SIZES = (1, 2**62)
 
 
 def with_pass_sizes(monkeypatch, size):
     monkeypatch.setattr(dplfit.sampling, "_CHUNK", size)
-    monkeypatch.setattr(pipeline, "_UNIT", size)
+    monkeypatch.setattr(dplfit.sampling, "_UNIT", size)
     monkeypatch.setattr(pipeline, "_BLOCK_VALUES", size)
 
 
@@ -174,9 +174,10 @@ def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
 
 
 def force_cpus(monkeypatch, cpus, unit=64):
-    # any fit of at least `cpus` reduce units of `unit` variates splits
+    # any fit of at least `cpus` reduce units of `unit` variates splits; the
+    # sampler reduces its rows in units of that size too
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline, "_UNIT", unit)
+    monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
 
 
 def processes_in_a_worker(workers):
@@ -250,7 +251,7 @@ def test_processes_change_no_result(monkeypatch, processes):
         for size in (None,) + PASS_SIZES:
             if size is not None:
                 with_pass_sizes(monkeypatch, size)
-                monkeypatch.setattr(pipeline, "_UNIT", min(size, 64))
+                monkeypatch.setattr(dplfit.sampling, "_UNIT", min(size, 64))
             assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
             assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
             assert scan(data, scan_config) == serial_scan
@@ -450,7 +451,7 @@ def test_refit_alone_sorts_out_replicas_at_the_cutoff(a):
     # a block's replicas are all refit, with no test for values all at the
     # cutoff: such a replica's root lies past the upper bound
     for n_a in [2, 10, 10**6]:
-        log_g, *_ = pipeline._tabulate(n_a, np.full((3, n_a), a, dtype=np.int64))
+        log_g, *_ = pipeline._tables(n_a, np.full(3, a), np.full(3, n_a), np.ones(3, dtype=np.int64))
         assert np.all(solve_betas(log_g, a)[2] == AT_BOUND)
     # one value a + 1 among N_a: no replica that fit_beta's at_cutoff test
     # would refuse is solved (at a = 1 that takes N_a >= 6.9e11)
@@ -472,6 +473,24 @@ def test_fit_flags_replicas_biased_by_the_proposal_cap():
     high = fit_at_a(power_law_data(1.13, 200, seed=44), 1, 100, seed=3)
     assert SamplerParams(1, high.beta_emp).lost_mass < 1e-18
     assert high.reliable
+
+
+@pytest.mark.parametrize("a", [2**62, 2**62 + 2**61, 2**63 - 2**50, 2**63 - 2**20, 2**63 - 2])
+def test_fits_up_to_the_proposal_cap_never_reach_the_sampler_floor(a):
+    # a tail that spreads from the cutoff to 2^63 - 1: its fitted exponent
+    # keeps most of the proposal mass (about 0.83-0.85 at the first two
+    # cutoffs), far above the sampler's floor of 2^-20, and nearer the cap
+    # the fit itself fails with a typed error; a scan skips those cutoffs
+    values = sorted({a + k * ((2**63 - 1 - a) // 40) for k in range(40)} | {2**63 - 1})
+    data = IntegerSample(values)
+    try:
+        fit = fit_at_a(data, a, 100, seed=1)
+    except DplfitError as err:
+        result = scan(data, ScanConfig(a_values=(a,), n_sim=100))
+        assert result.fits == () and result.skipped == ((a, f"{type(err).__name__}: {err}"),)
+    else:
+        assert a < 2**63 - 2**50
+        assert SamplerParams(a, fit.beta_emp).lost_mass < 0.5
 
 
 def test_fit_at_a_huge_cutoff_and_exponent():

@@ -18,15 +18,15 @@ from dplfit.sampling import (
     _proposals_from_uniforms,
     accept_test,
     composite,
-    draws_table,
     sample_n,
+    sample_replicas,
     sample_rows,
-    sample_tables,
     stream_starts,
 )
 
 from oracles import (
     acceptance_ratio,
+    draws_table,
     expanded,
     proposal_mass,
     table,
@@ -265,6 +265,25 @@ def test_lost_mass_at_the_proposal_cap():
         (10**6 / 2.0**63) ** 0.5, rel=1e-12)
 
 
+def test_cap_must_leave_usable_proposal_mass():
+    # past the cap every proposal was redrawn (a draw warned of an invalid
+    # cast and never ended), and at 2^63 - 2^20 the cap kept 1.1e-13 of the
+    # mass (a draw of 10 ran for minutes): both are refused at once
+    for a in (2**63 - 100, 2**63 - 2**20):
+        with pytest.raises(ValueError, match=r"leaves less than 2\^-20 of the proposal mass"):
+            SamplerParams(a, 1.0)
+    # the rule's edge at a = 1, where the cap keeps about 43.7 beta of the
+    # mass, is near beta = 2.18e-8
+    assert 1.0 - SamplerParams(1, 2.3e-8).lost_mass >= 2.0**-20
+    with pytest.raises(ValueError):
+        SamplerParams(1, 2.1e-8)
+    # the corner of the accepted box that keeps the least, a = 2^62 and
+    # beta = 1e-4, keeps 6.9e-5 of the mass and draws
+    params = SamplerParams(2**62, 1e-4)
+    assert 1.0 - params.lost_mass == pytest.approx(1.0 - 2.0**-1e-4, rel=1e-6)
+    assert sample_n(params, 10, RngStream(1)).size == 10
+
+
 @pytest.mark.parametrize("a", [1, 3])
 def test_overflowing_proposals_are_redrawn_without_a_warning(a):
     # at beta = 1e-3 most w^(-1/beta) overflow; the suite turns the
@@ -406,13 +425,15 @@ def chi_squared_of_tables(values, counts, model, edges):
     (10**9, 0.05, 10**4, 20),   # no cells: the envelope alone
     (1, 1.13, 10**11, 10),      # the 2^16 cells of the cap
 ])
-def test_pooled_tables_follow_the_law(a, beta, count, replicas):
-    # replicas drawn as tables, pooled: one chi-squared test at the 0.01
-    # level over the cutoff's first values, the values around the
-    # envelope's cutoff T and wide bins past it, seeds pinned
+def test_pooled_tables_follow_the_law(monkeypatch, a, beta, count, replicas):
+    # replicas drawn as tables (the rule's threshold at 0 cell draws), pooled:
+    # one chi-squared test at the 0.01 level over the cutoff's first values,
+    # the values around the envelope's cutoff T and wide bins past it, seeds
+    # pinned
     params = SamplerParams(a, beta)
     tail, _ = composite(params, count)
-    values, counts, lengths = sample_tables(params, count, stream_starts(404, range(replicas)))
+    monkeypatch.setattr(dplfit.sampling, "_TABLE_DRAWS", 0)
+    values, counts, lengths = sample_replicas(params, count, stream_starts(404, range(replicas)))
     assert np.all(np.add.reduceat(counts, np.cumsum(lengths) - lengths) == count)
     model = PowerLawModel(a, beta)
     total = count * replicas
@@ -432,14 +453,16 @@ def test_pooled_tables_follow_the_law(a, beta, count, replicas):
 
 @pytest.mark.parametrize("a,beta,count", [(1, 1.13, 1), (10**3, 1.13, 100), (10**9, 40.0, 200),
                                           (1, 1e-3, 1000)])
-def test_replica_without_cells_is_its_row(a, beta, count):
+def test_replica_without_cells_is_its_row(monkeypatch, a, beta, count):
     # with no cells pvals is (1,), the multinomial draws nothing, and a
-    # replica is the first accepts of its stream: its row of sample_rows
+    # replica drawn as its table (the rule's threshold at 0 cell draws) is
+    # the first accepts of its stream: its row of sample_rows
     params = SamplerParams(a, beta)
     assert composite(params, count)[1].tolist() == [1.0]
     assert not draws_table(params, count)
     starts = list(stream_starts(8, STREAMS))
-    values, counts, lengths = sample_tables(params, count, starts)
+    monkeypatch.setattr(dplfit.sampling, "_TABLE_DRAWS", 0)
+    values, counts, lengths = sample_replicas(params, count, starts)
     at = np.cumsum(lengths) - lengths
     for row, lo, size in zip(sample_rows(params, count, starts), at, lengths):
         assert table(IntegerSample(row)) == (values[lo:lo + size].tolist(),
@@ -459,7 +482,7 @@ def test_tables_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
     assert draws_table(params, count)
     monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
     streams = STREAMS[:6]
-    values, counts, lengths = sample_tables(params, count, stream_starts(2**64 - 1, streams))
+    values, counts, lengths = sample_replicas(params, count, stream_starts(2**64 - 1, streams))
     at = np.cumsum(lengths) - lengths
     for lo, size, stream in zip(at, lengths, streams):
         expected = IntegerSample(table_one_at_a_time(params, count, RngStream(2**64 - 1, stream)))
@@ -468,15 +491,51 @@ def test_tables_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
         assert table(sample_n(params, count, RngStream(2**64 - 1, stream))) == got
 
 
+@pytest.mark.parametrize("a,beta,count", [(2, 0.9, 700), (1, 5.0, 3), (1, 1.13, 22035),
+                                          (1, 5.0, 4000)])
+@pytest.mark.parametrize("unit", [None, 2])
+def test_replicas_are_their_tables(monkeypatch, a, beta, count, unit):
+    # a block of replicas drawn as rows (700 and 3 draws) or as tables
+    # (22035 and 4000), the rows reduced a unit of the default size or of
+    # two rows at a time, is each replica's np.unique table end to end, the
+    # replica drawn alone: its row of sample_rows or the table oracle's
+    # replica; and sample_n draws the block's replica i.  At beta = 5 one
+    # replica's last value often equals the next one's first, and still
+    # the two tables stay apart
+    params = SamplerParams(a, beta)
+    assert draws_table(params, count) == (count > 1000)
+    if unit is not None:
+        monkeypatch.setattr(dplfit.sampling, "_UNIT", unit * count)
+    streams = STREAMS[:5]
+    starts = list(stream_starts(3, streams))
+    values, counts, lengths = sample_replicas(params, count, starts)
+    assert values.size == counts.size == lengths.sum()
+    at = np.cumsum(lengths) - lengths
+    for start, stream, lo, size in zip(starts, streams, at, lengths):
+        rng = RngStream(3, stream)
+        alone = (table_one_at_a_time(params, count, rng) if draws_table(params, count)
+                 else sample_rows(params, count, [start])[0])
+        expected = [column.tolist() for column in np.unique(alone, return_counts=True)]
+        got = [values[lo:lo + size].tolist(), counts[lo:lo + size].tolist()]
+        assert got == expected
+        assert size == len(expected[0])
+        assert list(table(sample_n(params, count, rng))) == got
+
+
 def test_table_rule_is_the_expected_cell_draws():
     # a replica is drawn as its table when its cells are expected to take
-    # at least _TABLE_DRAWS of its draws, and never with no cells
-    threshold = dplfit.sampling._TABLE_DRAWS
+    # at least _TABLE_DRAWS of its draws, and never with no cells: the
+    # sampler's replica is the oracle's on the path the rule picks
+    paths = []
     for a, beta in [(1, 1.13), (7, 1.13), (50, 0.5), (1, 5.0)]:
         params = SamplerParams(a, beta)
         for count in (1, 100, 1000, 3000, 10**4, 10**6):
-            share = 1.0 - composite(params, count)[1][-1]
-            assert draws_table(params, count) == (count * share >= threshold)
+            rng = RngStream(12, 5)
+            path = draws_table(params, count)
+            draw = table_one_at_a_time if path else variates_one_at_a_time
+            assert table(sample_n(params, count, rng)) == table(IntegerSample(draw(params, count, rng)))
+            paths.append(path)
+    assert True in paths and False in paths
     assert draws_table(SamplerParams(1, 1.13), 22035)
     assert not draws_table(SamplerParams(1, 1.13), 1000)
 
@@ -503,7 +562,7 @@ def test_table_too_large_for_memory_is_a_typed_error(monkeypatch):
     assert 10**6 < 10**12 * composite(params, 10**12)[1][-1] < 10**7
     monkeypatch.setattr(dplfit.sampling, "np", _ShortOfMemory())
     with pytest.raises(TailTooLargeError, match=f"a replica of {10**12} observations"):
-        sample_tables(params, 10**12, stream_starts(1, [0]))
+        sample_replicas(params, 10**12, stream_starts(1, [0]))
 
 
 # ------------------------------------------- stream keys and group draws
