@@ -73,8 +73,10 @@ def _parse_positive_int(token, path, lineno, what):
     return value
 
 
-def ingest(spec):
-    """Read an input file into an IntegerSample.
+def ingest(spec, data=None):
+    """Read an input file into an IntegerSample.  ``data`` is the file's
+    bytes where the caller has read them already, since a pipe can be read
+    only once; otherwise the file is read here.
 
     Every format is read into one tally of value -> count: corpus mode
     counts the token frequencies, an integers file counts each line once,
@@ -84,13 +86,8 @@ def ingest(spec):
     or count above 2^63 - 1 and where the total count passes it, and
     DplfitError on empty input.
     """
-    return _parse(spec, Path(spec.path).read_bytes())
-
-
-def _parse(spec, data):
-    """The IntegerSample of ``data``, the bytes of ``spec``'s file."""
     path = Path(spec.path)
-    text = data.decode(spec.encoding)
+    text = (path.read_bytes() if data is None else data).decode(spec.encoding)
     if spec.format == "corpus":
         tally = Counter(Counter(tokenize_text(text)).values())
         if not tally:
@@ -151,7 +148,7 @@ def _read_input(spec):
         "encoding": spec.encoding,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-    return _parse(spec, data), provenance
+    return ingest(spec, data), provenance
 
 
 def _fit_record(fit):

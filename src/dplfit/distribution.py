@@ -22,6 +22,13 @@ _LOG_DEGENERACY_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def scaled_power(s, a, n):
+    """(a/n)^s at n >= a (scalar or array), as exp(-s log1p((n - a)/a)):
+    the one rounding of it that the model, the KS pass and the sampler's
+    cells share."""
+    return np.exp(-s * np.log1p((np.asarray(n) - a) / a))
+
+
 def _whole(a):
     """Cutoff ``a`` if it is a whole number, of any numeric type (2,
     np.int64(2) and 2.0 all are); else ``ValueError``."""
@@ -141,7 +148,7 @@ class PowerLawModel:
         """(a/n)^(beta+1) at n >= a (scalar or array)."""
         if np.min(n) < self.a:
             raise ValueError(f"some n are below the lower cutoff a={self.a}")
-        return np.exp(-(self.beta + 1.0) * np.log1p((np.asarray(n) - self.a) / self.a))
+        return scaled_power(self.beta + 1.0, self.a, n)
 
     def pmf(self, n):
         """Probability of the value n (scalar or array), n >= a."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import scaled_power
 from .zeta import scaled_zeta
 
 
@@ -65,8 +66,7 @@ def _deviations(s, a, values, above, lengths):
         at = slice(lo, lo + _ZETA_CHUNK)
         z[at] = scaled_zeta(s, values[at], rows=sample[at])
     norm = scaled_zeta(s, a)[sample]
-    # (a/v)^s as PowerLawModel._power computes it
-    power = np.exp(-s[sample] * np.log1p((values - a) / a))
+    power = scaled_power(s[sample], a, values)
     model = power * (z / norm)
     mass = power / norm
     # N_n / N as true division does it: both converted to float64

@@ -32,8 +32,9 @@ as m proposals at cutoff T from the stream's next 2m uniforms; the ones
 they reject are still needed.  Rejected trials restart from the whole
 composite, not inside the envelope, so the draws are exactly i.i.d. f,
 conditioned on y < 2^63 as a row's are, in O(cells + envelope) work, not
-O(N).  With no cells the multinomial draws nothing and the replica is
-its row.  A replica is drawn as its table only where its cells are
+O(N).  With no cells (pvals (1,)) the multinomial draws nothing, since
+numpy draws a binomial for each category but the last, and the replica
+is its row.  A replica is drawn as its table only where its cells are
 expected to take at least ``_TABLE_DRAWS`` of its draws, where that is
 the cheaper.
 
@@ -42,13 +43,16 @@ state is set on one reused bit generator, and the group's first batches
 are one (rows x 2 batch) array of uniforms whose proposals are made and
 tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
 that comes up short, as every row of a tail larger than ``_CHUNK``
-proposals does, goes on alone from the end of its first batch, ``_CHUNK``
-proposals at a time.
+proposals does, goes on from the end of its first batch as a draw from
+the composite with no cells: ``_draw_table`` is the one rejection loop
+after the first batches, and the row's remaining variates are the next
+accepts of its stream, in draw order.
 
 However a replica is drawn, what the sampler returns is its table of
-distinct values and counts (``sample_replicas``): every caller reads
-replicas in that one shape.  An ``RngStream`` only names a substream, and
-``sample_n`` draws that substream's replica.
+distinct values and counts (``sample_replicas``), reduced by the one
+``_distinct``: every caller reads replicas in that one shape.  An
+``RngStream`` only names a substream, and ``sample_n`` draws that
+substream's replica.
 """
 
 import math
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import IntegerSample, _whole
+from .distribution import IntegerSample, _whole, scaled_power
 from .errors import TailTooLargeError
 
 RNG_ALGORITHM = "pcg64-seedsequence-block256-pairs-cells"
@@ -244,19 +248,6 @@ def _propose(params, u):
     return y, fits & accept_test(params, y, u[..., 1::2])
 
 
-def _fill(params, row, filled, gen):
-    """Fill row[filled:] with the next accepted proposals of the stream at
-    ``gen``, at most ``_CHUNK`` proposals a pass: how ``sample_rows`` goes
-    on with a row that its first batch left short."""
-    count = row.size
-    while filled < count:
-        batch = min(_batch_size(params, count - filled), _CHUNK)
-        y, ok = _propose(params, gen.random(2 * batch))
-        at = np.flatnonzero(ok)[:count - filled]
-        row[filled:filled + at.size] = y[at]
-        filled += at.size
-
-
 def _empty(shape, count):
     """An unfilled int64 array of ``shape`` for a replica of ``count``
     observations, or TailTooLargeError."""
@@ -278,8 +269,10 @@ def sample_rows(params, count, starts):
     drawn through one reused bit generator in groups of as many rows as
     first batches fit in ``_CHUNK`` proposals, at least one: a group's
     first batches are drawn as one (rows x 2 batch) array and tested in one
-    pass; each row keeps its first ``count`` accepts, and a row left short
-    goes on alone.
+    pass; each row keeps its first ``count`` accepts.  A row left short
+    goes on from the end of its first batch, and its remaining variates are
+    the envelope of ``_draw_table`` at pvals (1,), the composite with no
+    cells: the next accepts of its stream, in draw order.
     """
     starts = list(starts)
     gen = np.random.Generator(np.random.PCG64(0))
@@ -302,7 +295,7 @@ def sample_rows(params, count, starts):
             got = y[r, ok[r]]
             rows[r, :got.size] = got
             _seek(bitgen, starts[lo + r], 2 * batch)
-            _fill(params, rows[r], got.size, gen)
+            rows[r, got.size:] = _draw_table(gen, count - got.size, params, (1.0,))[1]
     return out
 
 
@@ -312,8 +305,8 @@ def composite(params, count):
 
     The cells are the values a <= n < T whose expected count,
     count (a/n)^s / ``params.norm_bound`` with s = beta + 1, is at least 1,
-    at most ``_MAX_CELLS`` of them; cell n weighs (a/n)^s, computed as
-    ``PowerLawModel._power`` computes it.  The envelope is the proposal at
+    at most ``_MAX_CELLS`` of them; cell n weighs (a/n)^s
+    (``scaled_power``).  The envelope is the proposal at
     cutoff T and weighs W = (a/T)^s t_T/(t_T - 1): its proposals, accepted
     as at cutoff T, give every n >= T the weight (a/n)^s.  pvals holds each
     cell's share of the total weight and, last, the envelope's; with no
@@ -326,7 +319,7 @@ def composite(params, count):
     reach = a * math.expm1((math.log(count) - math.log(params.norm_bound)) / s)
     span = max(0, min(_MAX_CELLS, int(_MAX_PROPOSAL) - a, math.floor(reach) + 2))
     n = np.arange(a, a + span + 1)
-    power = np.exp(-s * np.log1p((n - a) / a))
+    power = scaled_power(s, a, n)
     cells = int(np.count_nonzero(count * power[:span] / params.norm_bound >= 1.0))
     tail = SamplerParams(a + cells, params.beta)
     weights = power[:cells + 1]
@@ -337,7 +330,9 @@ def composite(params, count):
 def _draw_table(gen, count, tail, pvals):
     """One replica of ``count`` draws from the composite (``composite``) at
     ``gen``'s position: its count of each cell and its accepted envelope
-    values, in draw order.
+    values, in draw order.  With pvals (1,), no cells, it draws no
+    binomial, and the envelope is the next ``count`` accepts of the stream
+    at cutoff ``tail``: how ``sample_rows`` finishes a short row.
 
     Each round draws one multinomial over the cells and the envelope for
     the draws still needed, then makes the envelope's m trials as m
@@ -362,19 +357,23 @@ def _draw_table(gen, count, tail, pvals):
     return tally, envelope[:kept]
 
 
-def _distinct(flat, lengths):
+def _distinct(flat, lengths, weights=None):
     """The tables of segments of ``flat``, each sorted and ``lengths`` long,
     one after another: their distinct values and counts, flat, and each
     segment's number of distinct values.
 
     A value is new where it differs from the one before it or starts a
-    segment, and its count is the distance to the next new value."""
+    segment.  Its count is the sum of ``weights`` from it to the next new
+    value, the weight of each element of ``flat`` being how many draws it
+    stands for; with no weights, each stands for one, and the count is the
+    distance to the next new value."""
     ends = np.cumsum(lengths)
     new = np.ones(flat.size + 1, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
     new[ends - lengths] = True
     at = np.flatnonzero(new)
-    return flat[at[:-1]], np.diff(at), np.diff(np.searchsorted(at, ends), prepend=0)
+    counts = np.diff(at) if weights is None else np.add.reduceat(weights, at[:-1])
+    return flat[at[:-1]], counts, np.diff(np.searchsorted(at, ends), prepend=0)
 
 
 def sample_replicas(params, count, starts):
@@ -388,11 +387,13 @@ def sample_replicas(params, count, starts):
     Where the cells of the composite (``composite``, computed once a call)
     are expected to take at least ``_TABLE_DRAWS`` of a replica's draws,
     each replica is drawn from its start by ``_draw_table``, one after
-    another through one reused bit generator, and its table is the cells
-    that were hit, then the distinct values of its envelope.  Otherwise
-    the replicas are the rows of ``sample_rows``, drawn, sorted and reduced
-    to their tables a unit of about ``_UNIT`` variates at a time, so that
-    only one unit's rows are held at once.
+    another through one reused bit generator.  Its segment for
+    ``_distinct`` is the cells that were hit, weighing their hits, then its
+    sorted envelope, each value weighing one; the segment is sorted, since
+    the cells are distinct and below T and every envelope value is at
+    least T.  Otherwise the replicas are the rows of ``sample_rows``,
+    drawn, sorted and reduced to their tables a unit of about ``_UNIT``
+    variates at a time, so that only one unit's rows are held at once.
     """
     starts = list(starts)
     tail, pvals = composite(params, count)
@@ -406,23 +407,20 @@ def sample_replicas(params, count, starts):
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
-    cells, hits, envelopes = [], [], []
+    # the envelopes' weights are slices of one buffer of ones, grown to the
+    # largest envelope yet
+    parts, weights, lengths, ones = [], [], [], np.ones(0, dtype=np.int64)
     for start in starts:
         _seek(bitgen, start)
         tally, envelope = _draw_table(gen, count, tail, pvals)
         at = np.flatnonzero(tally)
-        cells.append(at + params.a)
-        hits.append(tally[at])
         envelope.sort()
-        envelopes.append(envelope)
-    values, counts, lengths = _distinct(np.concatenate(envelopes), [e.size for e in envelopes])
-    # each replica's hit cells, then its envelope's distinct values
-    cell_lengths = [at.size for at in cells]
-    replicas = np.arange(len(cells))
-    owner = np.concatenate((np.repeat(replicas, cell_lengths), np.repeat(replicas, lengths)))
-    order = np.argsort(owner, kind="stable")
-    return (np.concatenate(cells + [values])[order], np.concatenate(hits + [counts])[order],
-            np.add(cell_lengths, lengths))
+        if ones.size < envelope.size:
+            ones = np.ones(envelope.size, dtype=np.int64)
+        parts += (at + params.a, envelope)
+        weights += (tally[at], ones[:envelope.size])
+        lengths.append(at.size + envelope.size)
+    return _distinct(np.concatenate(parts), lengths, np.concatenate(weights))
 
 
 def sample_n(params, count, rng):

@@ -257,6 +257,27 @@ def test_report_digest_is_of_the_bytes_parsed_from_a_pipe(tmp_path):
     assert piped == regular
 
 
+@pytest.mark.parametrize("command", [["fit", "--a", "1"], ["scan", "--min-tail", "200"],
+                                     ["curves", "--a", "1"]])
+def test_every_command_reads_its_input_through_ingest(monkeypatch, tmp_path, command):
+    # a wrapper of dplfit.cli.ingest, as a tracer puts in its place, sees
+    # every command's one read of its input
+    f = make_power_law_file(tmp_path, n=300)
+    calls = []
+
+    def counting(spec, *args):
+        calls.append(spec.path)
+        return ingest(spec, *args)
+
+    monkeypatch.setattr("dplfit.cli.ingest", counting)
+    name, *options = command
+    args = [name, str(f), *options, "--out", str(tmp_path / "out")]
+    if name != "curves":
+        args += ["--nsim", "100"]
+    assert main(args) == 0
+    assert calls == [str(f)]
+
+
 def test_run_fit_rejects_geometric(tmp_path):
     rng = np.random.default_rng(40)
     f = tmp_path / "geom.txt"

@@ -492,29 +492,33 @@ def test_tables_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
 
 
 @pytest.mark.parametrize("a,beta,count", [(2, 0.9, 700), (1, 5.0, 3), (1, 1.13, 22035),
-                                          (1, 5.0, 4000)])
+                                          (1, 5.0, 4000), (10**6, 1.13, 40000)])
 @pytest.mark.parametrize("unit", [None, 2])
 def test_replicas_are_their_tables(monkeypatch, a, beta, count, unit):
-    # a block of replicas drawn as rows (700 and 3 draws) or as tables
-    # (22035 and 4000), the rows reduced a unit of the default size or of
-    # two rows at a time, is each replica's np.unique table end to end, the
-    # replica drawn alone: its row of sample_rows or the table oracle's
+    # a block of replicas drawn as rows (700, 3 and 40000 draws) or as
+    # tables (22035 and 4000), the rows reduced a unit of the default size
+    # or of two rows at a time, is each replica's np.unique table end to
+    # end, the replica drawn alone: the row oracle's or the table oracle's
     # replica; and sample_n draws the block's replica i.  At beta = 5 one
     # replica's last value often equals the next one's first, and still
-    # the two tables stay apart
+    # the two tables stay apart.  At a = 10^6 the composite has no cells and
+    # a row's first batch is capped at _CHUNK proposals, so every row comes
+    # up short and finishes through the envelope loop
     params = SamplerParams(a, beta)
-    assert draws_table(params, count) == (count > 1000)
+    assert draws_table(params, count) == (a == 1 and count > 1000)
+    if a == 10**6:
+        assert composite(params, count)[1].tolist() == [1.0]
+        assert dplfit.sampling._batch_size(params, count) > _CHUNK
     if unit is not None:
         monkeypatch.setattr(dplfit.sampling, "_UNIT", unit * count)
     streams = STREAMS[:5]
-    starts = list(stream_starts(3, streams))
-    values, counts, lengths = sample_replicas(params, count, starts)
+    values, counts, lengths = sample_replicas(params, count, stream_starts(3, streams))
     assert values.size == counts.size == lengths.sum()
     at = np.cumsum(lengths) - lengths
-    for start, stream, lo, size in zip(starts, streams, at, lengths):
+    for stream, lo, size in zip(streams, at, lengths):
         rng = RngStream(3, stream)
-        alone = (table_one_at_a_time(params, count, rng) if draws_table(params, count)
-                 else sample_rows(params, count, [start])[0])
+        alone = (table_one_at_a_time if draws_table(params, count)
+                 else variates_one_at_a_time)(params, count, rng)
         expected = [column.tolist() for column in np.unique(alone, return_counts=True)]
         got = [values[lo:lo + size].tolist(), counts[lo:lo + size].tolist()]
         assert got == expected

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,24 @@ def test_report_digests_prints_each_output_digest(tmp_path):
     assert (workload, seed) == ("large_tail_fit", "1")
     report = tmp_path / "large_tail_fit" / name
     assert digest == hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    # a module docstring, a function docstring of two lines, a comment, a
+    # blank line and three code lines, in a subdirectory to be found too
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "tiny.py").write_text(textwrap.dedent('''\
+        """A tiny module."""
+
+        def half(x):  # the only function
+            """Half of x,
+            as a float."""
+            return x / 2
+        # the end
+        HALF = half(1)
+        '''), encoding="utf-8")
+    proc = run_script("code_lines.py", str(tmp_path))
+    assert proc.stdout.splitlines() == [f"3 {tmp_path / 'pkg' / 'tiny.py'}", "3 total"]
 
 
 # The outputs of each benchmark workload's first operation at seed 1.  A
