@@ -28,7 +28,7 @@ from .distribution import IntegerSample, PowerLawModel, sufficient_stat
 from .errors import DplfitError, ParseError
 from .mle import MleConfig, fit_beta
 from .pipeline import ScanConfig, _seed_for_cutoff, fit_at_a, scan
-from .sampling import RNG_ALGORITHM
+from .sampling import RETRY_STREAM_BASE, RNG_ALGORITHM
 
 REPORT_SCHEMA_VERSION = 1
 REJECT_LEVEL = 0.05
@@ -349,12 +349,15 @@ def _cmd_tokenize(args):
     return 0
 
 
-def _int_at_least(low):
-    """An argparse type: an integer of at least ``low``."""
+def _int_at_least(low, most=None):
+    """An argparse type: an integer of at least ``low`` and, given ``most``,
+    at most ``most``."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type if int() fails
     return parse
@@ -394,16 +397,16 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="fit at one fixed lower cutoff")
     _add_input_args(p_fit)
     p_fit.add_argument("--a", type=_int_at_least(1), required=True, help="lower cutoff")
-    p_fit.add_argument("--nsim", type=_int_at_least(1), default=1000,
-                       help="simulated replicas")
+    p_fit.add_argument("--nsim", type=_int_at_least(1, RETRY_STREAM_BASE), default=1000,
+                       help="simulated replicas (at most 2^32)")
     p_fit.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     p_fit.add_argument("--out", help="write the machine-readable JSON report here")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_scan = sub.add_parser("scan", help="scan cutoffs and select a*")
     _add_input_args(p_scan)
-    p_scan.add_argument("--nsim", type=_int_at_least(100), default=1000,
-                        help="replicas per cutoff (at least 100)")
+    p_scan.add_argument("--nsim", type=_int_at_least(100, RETRY_STREAM_BASE), default=1000,
+                        help="replicas per cutoff (at least 100, at most 2^32)")
     p_scan.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     p_scan.add_argument("--pthresh", type=_float_where(lambda p: 0 < p < 1, "in (0, 1)"),
                         default=0.20,

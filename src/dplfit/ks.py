@@ -5,10 +5,11 @@ on every interval (m, m+1] between integers, and between consecutive
 distinct values v < v' of a sample the empirical side is N_v'/N while S
 falls, so the supremum over real n >= a sits at some v or v + 1 (at the
 cutoff both sides are 1).  A sample is measured there, straight from its
-table of distinct values v and N_v, the number of its data >= v.  The
-model survival S(v) and mass f(v) are evaluated at every distinct value
-as ``PowerLawModel.survival`` and ``.pmf`` evaluate them, and
-S(v + 1) = S(v) - f(v) (``_deviations``).
+table of distinct values v and their counts, as the sampler returns it:
+N_v, the number of its data >= v, is its counts summed from its last
+value back.  The model survival S(v) and mass f(v) are evaluated at every
+distinct value as ``PowerLawModel.survival`` and ``.pmf`` evaluate them,
+and S(v + 1) = S(v) - f(v) (``_deviations``).
 """
 
 from dataclasses import dataclass
@@ -40,14 +41,16 @@ class PValue:
 _ZETA_CHUNK = 1 << 12
 
 
-def _deviations(s, a, values, above, lengths):
+def _deviations(s, a, values, counts, lengths):
     """|N_n/N - S(n)| of several samples truncated at a, at each distinct
     value v (column 0) and at v + 1 (column 1), one row per value.
 
     Sample r is its ``lengths[r]`` sorted distinct values, stored one
-    sample after another in ``values``, with N_v at the same place in
-    ``above``; N is N_v at its first value, and past its last value the
-    empirical survival is 0.  ``s[r]`` is the exponent + 1 of its model.
+    sample after another in ``values``, with their counts at the same
+    places in ``counts``: the tables ``sample_replicas`` returns.  N_v is
+    the sample's counts from v to its last value, N is N_v at its first
+    value, and past its last value the empirical survival is 0.  ``s[r]``
+    is the exponent + 1 of its model.
 
     The model survival S(v) = (a/v)^s Z(s, v) / Z(s, a) and mass
     f(v) = (a/v)^s / Z(s, a) are computed at every value with the
@@ -61,6 +64,10 @@ def _deviations(s, a, values, above, lengths):
     """
     first = np.cumsum(lengths) - lengths
     sample = np.repeat(np.arange(len(lengths)), lengths)
+    # the running sum of the samples' counts may pass 2^63 and wrap, but a
+    # difference within one sample, at most its N, comes out exact
+    total = np.cumsum(counts)
+    above = total[first + lengths - 1][sample] - total + counts
     z = np.empty(values.size)
     for lo in range(0, values.size, _ZETA_CHUNK):
         at = slice(lo, lo + _ZETA_CHUNK)
@@ -81,11 +88,12 @@ def _deviations(s, a, values, above, lengths):
     return np.abs(dev, out=dev)
 
 
-def ks_distances(s, a, values, above, lengths):
+def ks_distances(s, a, values, counts, lengths):
     """KS distance of each of several samples truncated at a, each against
     its own model: the largest of its rows of ``_deviations``, which takes
-    the same arguments."""
-    dev = _deviations(s, a, values, above, lengths).ravel()
+    the same arguments, the sampler's tables of distinct values and
+    counts."""
+    dev = _deviations(s, a, values, counts, lengths).ravel()
     return np.maximum.reduceat(dev, 2 * (np.cumsum(lengths) - lengths))
 
 
@@ -102,7 +110,7 @@ def ks_statistic(sample, model):
             f"sample contains values below the cutoff a={model.a}; truncate first"
         )
     dev = _deviations(np.array([model.beta + 1.0]), model.a, values,
-                      sample.survival_counts, [values.size]).ravel()
+                      sample.unique_counts, [values.size]).ravel()
     i = int(np.argmax(dev))
     return KsResult(d=float(dev[i]), argmax_n=int(values[i // 2]) + i % 2)
 

@@ -7,16 +7,16 @@ draws.  The sampler returns every replica as its table of distinct
 values and counts (``sample_replicas``), however it was drawn.
 
 Replicas are refit and measured in blocks of about ``_BLOCK_VALUES``
-distinct values, with one sampler call, one ``solve_betas`` and one
-``ks_distances`` call per block: each replica's table becomes its ln G
-and its distinct values and N_v, flat (``_tables``), which
-``ks_distances`` reads as they are.  The block size is a memory budget,
-as the sampler's unit is: they bound what one process of a fit holds at
-once and change no result.
+distinct values, with one sampler call, one ``log_geo_means``, one
+``solve_betas`` and one ``ks_distances`` call per block, each reading the
+sampler's tables as they are.  The block size is a memory budget, as the
+sampler's unit is: they bound what one process of a fit holds at once and
+change no result.
 
 A fit's or a scan's replicas run as jobs, each a run of consecutive
-replica indices of one cutoff, on one pool of forked processes (``_fits``);
-a worker process forks nothing, and where ``fork`` is unavailable
+replica indices of one cutoff, on one pool of forked processes (``_fits``),
+whose cutoffs' results are yielded in cutoff order as they come in; a
+worker process forks nothing, and where ``fork`` is unavailable
 everything runs in the calling process.
 """
 
@@ -30,7 +30,8 @@ from itertools import islice
 import numpy as np
 
 from .distribution import PowerLawModel, _whole, log_geo_means, sufficient_stat
-from .errors import ConvergenceError, DegenerateDataError, EmptyTailError, TailTooLargeError
+from .errors import (ConvergenceError, DegenerateDataError, DplfitError, EmptyTailError,
+                     TailTooLargeError)
 from .ks import PValue, ks_distances, ks_statistic, p_value
 from .mle import SOLVED, fit_beta, solve_betas
 from . import sampling
@@ -83,8 +84,8 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if operator.index(self.n_sim) < 100:
-            raise ValueError(f"n_sim must be >= 100, got {self.n_sim}")
+        if not 100 <= operator.index(self.n_sim) <= sampling.RETRY_STREAM_BASE:
+            raise ValueError(f"n_sim must be in [100, 2^32], got {self.n_sim}")
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
         if operator.index(self.min_tail) < 2:
@@ -137,12 +138,14 @@ def _workers(jobs, variates):
 @contextmanager
 def _processes(workers):
     """Yield ``(map, P)``: the ``map`` of a pool of P = ``workers`` processes
-    forked from this one, which yields in input order and is shut down, its
-    processes joined, when the ``with`` exits.  For fewer than two workers,
-    in a worker process (whose pool already spreads the work over the CPUs)
-    or where ``fork`` is unavailable, yield the builtin ``map`` and P = 1.
-    Forked, not spawned: a spawned process imports numpy and dplfit afresh,
-    and a pool of two takes 0.35 s to spawn, 12 ms to fork (2 vCPUs)."""
+    forked from this one, which yields in input order and is shut down when
+    the ``with`` exits, however it exits: the calls not yet handed to a
+    process are cancelled, and the processes finish the ones they hold and
+    are joined.  For fewer than two workers, in a worker process (whose
+    pool already spreads the work over the CPUs) or where ``fork`` is
+    unavailable, yield the builtin ``map`` and P = 1.  Forked, not spawned:
+    a spawned process imports numpy and dplfit afresh, and a pool of two
+    takes 0.35 s to spawn, 12 ms to fork (2 vCPUs)."""
     if workers > 1:
         import multiprocessing  # slow to import: only a pool needs it
 
@@ -150,42 +153,33 @@ def _processes(workers):
                 and "fork" in multiprocessing.get_all_start_methods()):
             context = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-                yield pool.map, workers
+                try:
+                    yield pool.map, workers
+                finally:
+                    pool.shutdown(cancel_futures=True)
             return
     yield map, 1
 
 
-def _tables(n_a, values, counts, lengths):
-    """Replicas of ``n_a`` observations given as their tables of distinct
-    values and counts, flat, and each one's number of distinct values
-    (``sample_replicas``): each replica's ln G, and the values, their N_v
-    and the lengths, flat.  ln G is each replica's segment of one
-    ``log_geo_means`` call, the function ``sufficient_stat`` calls with
-    one segment, so it is bit-identical to it."""
-    first = np.cumsum(lengths) - lengths
-    log_g = log_geo_means(values, counts, first, n_a)
-    # the running sum of the block's counts may pass 2^63 and wrap, but a
-    # difference within one replica, at most N_a, comes out exact
-    before = np.cumsum(counts) - counts
-    return log_g, values, n_a - (before - np.repeat(before[first], lengths)), lengths
-
-
 def _attempt(params, n_a, starts):
     """Draw, refit and measure the replicas of start states ``starts``: one
-    ``sample_replicas``, one ``solve_betas`` and one ``ks_distances`` call
-    over all of them.  Returns which of them solved and those ones' KS
-    distances.
+    ``sample_replicas``, one ``log_geo_means``, one ``solve_betas`` and one
+    ``ks_distances`` call over all of them, each reading the tables of
+    distinct values and counts as the sampler returns them.  Returns which
+    of them solved and those ones' KS distances.
 
-    A replica whose values all equal the cutoff has its root past the upper
-    bound and comes back AT_BOUND, so it needs no test of its own; each
-    replica is measured independently of the others, so measuring the
-    unsolved ones changes no solved replica's distance.
+    Each replica's ln G is its segment of one ``log_geo_means`` call, the
+    function ``sufficient_stat`` calls with one segment, so it is
+    bit-identical to it.  A replica whose values all equal the cutoff has
+    its root past the upper bound and comes back AT_BOUND, so it needs no
+    test of its own; each replica is measured independently of the others,
+    so measuring the unsolved ones changes no solved replica's distance.
     """
-    a = params.a
-    log_g, values, above, lengths = _tables(n_a, *sampling.sample_replicas(params, n_a, starts))
-    beta, _, status = solve_betas(log_g, a)
+    values, counts, lengths = sampling.sample_replicas(params, n_a, starts)
+    log_g = log_geo_means(values, counts, np.cumsum(lengths) - lengths, n_a)
+    beta, _, status = solve_betas(log_g, params.a)
     solved = status == SOLVED
-    return solved, ks_distances(beta + 1.0, a, values, above, lengths)[solved]
+    return solved, ks_distances(beta + 1.0, params.a, values, counts, lengths)[solved]
 
 
 # A cutoff's precondition errors: ``fit_at_a`` raises them, ``scan`` skips it.
@@ -198,7 +192,10 @@ def _job(task):
     attempt's start states from one ``stream_starts`` generator (which
     hashes each 256-id key block once).  Returns (N_a, the fit, d_emp, the
     lost mass, the distances, the regenerations) or the precondition error
-    raised; stops once the regenerations pass the budget of 100 n_sim."""
+    raised; stops once the regenerations pass the budget of 100 n_sim.
+    Raises ``DplfitError``, which is no precondition error, when the job
+    runs out of memory, as the 8 GB of distances of 10^9 replicas do on a
+    small machine."""
     sample, a, n_sim, seed, lo, hi = task
     try:
         tail = sample.truncated(a)
@@ -221,12 +218,15 @@ def _job(task):
             attempt += 1
     except _PRECONDITIONS as err:
         return err
+    except MemoryError:  # the distances or ids of too many replicas
+        raise DplfitError(f"replicas {lo} to {hi - 1} at a={a} do not fit in memory") from None
     return tail.size, mle, d_emp, params.lost_mass, d_sims, regenerated
 
 
 def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     """Fit ``sample`` at each (a, seed) of ``cutoffs`` with ``n_sim``
-    replicas: a list of each cutoff's ``FitAtA`` or precondition error.
+    replicas: yield each cutoff's ``FitAtA`` or precondition error, in
+    cutoff order, as soon as its jobs' results are in.
 
     On P processes cutoff a, which holds w_a = n_sim N_a of the work, runs
     as k = min(n_sim, ceil(P w_a / sum w)) jobs (``_job``), at least one:
@@ -235,13 +235,16 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     usable CPUs), and otherwise the ``_workers`` gate picks P.  A cutoff's
     first job error wins; else its distances are assembled in replica order
     and more than 100 n_sim regenerations in all raise ``ConvergenceError``.
+
+    The pool is shut down when the generator ends, raises or is closed; a
+    consumer that stops early closes it, and then no queued job starts
+    that the pool had not yet handed to a process (``_processes``).
     """
     tails = np.append(sample.survival_counts, 0)
     work = [n_sim * int(tails[sample.tail_start(a)]) for a, _ in cutoffs]
     total = sum(work)
     workers = (min(workers, _usable_cpus()) if workers > 1
                else _workers(n_sim * len(cutoffs), total))
-    fits = []
     with _processes(workers) as (mapped, workers):
         splits = [max(1, min(n_sim, -(-workers * w // max(total, 1)))) for w in work]
         tasks = [(sample, a, n_sim, seed, n_sim * j // k, n_sim * (j + 1) // k)
@@ -252,17 +255,16 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
             errors = [part for part in parts if isinstance(part, Exception)]
             regenerated = 0 if errors else sum(r for *_, r in parts)
             if errors or regenerated > 100 * n_sim:
-                fits.append(errors[0] if errors else ConvergenceError(
-                    f"more than {100 * n_sim} replica refits failed at a={a}"))
+                yield errors[0] if errors else ConvergenceError(
+                    f"more than {100 * n_sim} replica refits failed at a={a}")
                 continue
             n_a, mle, d_emp, lost_mass, _, _ = parts[0]
             d_sims = np.concatenate([d for *_, d, _ in parts])
-            fits.append(FitAtA(
+            yield FitAtA(
                 a=int(a), n_a=n_a, beta_emp=mle.beta_emp, sigma=mle.sigma, d_emp=d_emp,
                 p=p_value(d_emp, d_sims), regenerated=regenerated,
                 reliable=regenerated <= 0.01 * n_sim and lost_mass <= LOST_MASS_LIMIT,
-                d_sims=tuple(d_sims.tolist()) if keep_d_sims else None))
-    return fits
+                d_sims=tuple(d_sims.tolist()) if keep_d_sims else None)
 
 
 def fit_at_a(sample, a, n_sim, seed, keep_d_sims=False):
@@ -274,8 +276,10 @@ def fit_at_a(sample, a, n_sim, seed, keep_d_sims=False):
     p-value is the fraction of replicas whose distance strictly exceeds
     the empirical one.
 
-    ``a`` must be a whole number.  Beta is fitted in the solver's fixed box
-    ``MleConfig.beta_bounds``, for the sample and its replicas alike.
+    ``a`` must be a whole number, and ``n_sim`` at most 2^32, where the
+    substream ids of regenerations start (``replica_stream``).  Beta is
+    fitted in the solver's fixed box ``MleConfig.beta_bounds``, for the
+    sample and its replicas alike.
 
     Replica i is drawn from substream ``replica_stream(i, attempt)``.  A
     replica whose refit lands on the box's bound or fails to converge is
@@ -285,14 +289,15 @@ def fit_at_a(sample, a, n_sim, seed, keep_d_sims=False):
     proposal mass, and more than 100 n_sim of them raise
     ``ConvergenceError``.
 
-    This is ``_fits`` for one cutoff: past the ``_workers`` gate, P slices
+    This is ``_fits`` for one cutoff, whose one item is taken and whose
+    generator is then run to its end: past the ``_workers`` gate, P slices
     of the replicas on a pool of P forked processes, shut down before this
     returns.  Each replica's result depends only on (seed, i, attempt), not
     on the units, blocks or processes or other replicas' regenerations.
     """
     a = int(_whole(a))
-    if operator.index(n_sim) < 1:
-        raise ValueError(f"n_sim must be >= 1, got {n_sim}")
+    if not 1 <= operator.index(n_sim) <= sampling.RETRY_STREAM_BASE:
+        raise ValueError(f"n_sim must be in [1, 2^32], got {n_sim}")
     (fit,) = _fits(sample, [(a, seed)], n_sim, 1, keep_d_sims)
     if isinstance(fit, Exception):
         raise fit
@@ -317,6 +322,8 @@ def scan(sample, config=ScanConfig()):
     processes that is shut down before this returns: ``workers`` W >= 2
     fixes P at W, at most one a usable CPU, and ``workers`` 1 lets the
     ``_workers`` gate pick P from the scan's n_sim x sum N_a variates.
+    Each cutoff's result is read as it arrives, in cutoff order, and the
+    generator is read to its end.
 
     Deterministic for identical (sample, config), including every
     simulated KS distance, regardless of ``workers`` and of the CPUs.
@@ -326,20 +333,15 @@ def scan(sample, config=ScanConfig()):
         a_values = default_cutoffs(sample, config.min_tail)
 
     cutoffs = [(a, _seed_for_cutoff(config.seed, a)) for a in a_values]
-    results = _fits(sample, cutoffs, config.n_sim, config.workers)
-    fits = [fit for fit in results if not isinstance(fit, Exception)]
-    skipped = [(int(a), f"{type(err).__name__}: {err}")
-               for a, err in zip(a_values, results) if isinstance(err, Exception)]
-
+    fits, skipped = [], []
     a_star = beta_star = sigma_star = None
-    for fit in fits:
-        if fit.p.p > config.p_threshold:
+    # _fits first: zip then runs it to its end, which shuts its pool down
+    for fit, a in zip(_fits(sample, cutoffs, config.n_sim, config.workers), a_values):
+        if isinstance(fit, Exception):
+            skipped.append((int(a), f"{type(fit).__name__}: {fit}"))
+            continue
+        fits.append(fit)
+        if a_star is None and fit.p.p > config.p_threshold:
             a_star, beta_star, sigma_star = fit.a, fit.beta_emp, fit.sigma
-            break
-    return ScanResult(
-        fits=tuple(fits),
-        skipped=tuple(skipped),
-        a_star=a_star,
-        beta_star=beta_star,
-        sigma_star=sigma_star,
-    )
+    return ScanResult(fits=tuple(fits), skipped=tuple(skipped), a_star=a_star,
+                      beta_star=beta_star, sigma_star=sigma_star)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -456,6 +457,34 @@ def test_cli_tail_too_large_to_simulate(tmp_path):
     assert all(reason.startswith("TailTooLargeError: ") for _, reason in out["skipped"])
 
 
+def test_cli_replicas_too_many_for_memory(tmp_path):
+    # a billion replicas' distances take 4-8 GB in one job: fit and scan
+    # stop with a typed error (exit 1), not a numpy MemoryError traceback,
+    # and the scan stops rather than skip every cutoff.  The child process
+    # limits its own address space to 3 GB, so nothing that large is ever
+    # allocated
+    rng = np.random.default_rng(3)
+    f = tmp_path / "data.txt"
+    f.write_text("".join(f"{v}\n" for v in rng.zipf(2.13, 500).tolist()), encoding="utf-8")
+    child = textwrap.dedent(f"""
+        import json, resource
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        from dplfit.cli import main
+        codes = [main([command, {str(f)!r}, "--nsim", "1000000000", *options])
+                 for command, options in (("fit", ["--a", "1"]), ("scan", []))]
+        print(json.dumps(codes))
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1, 1]
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 2
+    assert all(re.fullmatch(r"error: replicas 0 to \d+ at a=1 do not fit in memory", line)
+               for line in errors)
+
+
 @pytest.mark.parametrize("body,lineno,what", [
     ("1\n9223372036854775808\n", 2, "value"),
     ("3 1\n9223372036854775808 1\n", 2, "value"),
@@ -550,6 +579,7 @@ def test_cli_cutoff_past_int64(tmp_path, capsys, command):
 @pytest.mark.parametrize("args", [
     ["fit", "--a", "1", "--nsim", "0"],
     ["fit", "--a", "1", "--nsim", "-5"],
+    ["fit", "--a", "1", "--nsim", "4294967297"],
     ["fit", "--a", "0"],
     ["fit", "--a", "1", "--seed", "-3"],
     ["curves", "--a", "0"],
@@ -561,6 +591,7 @@ def test_cli_cutoff_past_int64(tmp_path, capsys, command):
     ["curves", "--a", "1", "--beta", "1e7"],
     ["curves", "--a", "1", "--beta", "1e300"],
     ["scan", "--nsim", "50"],
+    ["scan", "--nsim", "4294967297"],
     ["scan", "--seed", "-3"],
     ["scan", "--pthresh", "1.5"],
     ["scan", "--min-tail", "1"],

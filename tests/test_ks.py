@@ -45,18 +45,24 @@ def test_mismatch_below_cutoff():
 @pytest.mark.parametrize("a", [1, 2, 10, 10**3, 10**9, 2**62])
 @pytest.mark.parametrize("beta", [0.05, 0.3, 1.13, 5.0, 40.0])
 def test_deviations_use_the_model_survival(a, beta):
-    # three samples measured in one batch, each against its own model:
+    # five samples measured in one batch, each against its own model:
     # runs of consecutive values, gaps, and a sample with no datum at the
     # cutoff; every row equals the model's own survival and mass bit for
-    # bit, so it does not depend on the values before it in its run
-    offsets = [[0, 1, 2, 3, 4, 9, 10, 11, 500], [3, 4, 5, 6, 7, 8], [0, 70, 71]]
-    betas = [beta, 2.0 * beta, beta + 0.4]
+    # bit, so it does not depend on the values before it in its run.  The
+    # last two hold about 2^62 observations each, so the batch's running
+    # count passes 2^63 and wraps, and each sample's N_v still comes out
+    # exact
+    offsets = [[0, 1, 2, 3, 4, 9, 10, 11, 500], [3, 4, 5, 6, 7, 8], [0, 70, 71],
+               [0, 2, 3], [1, 5, 6, 40]]
+    betas = [beta, 2.0 * beta, beta + 0.4, beta, 1.5 * beta]
     rng = np.random.default_rng(a % 1000 + int(100 * beta))
-    samples = [IntegerSample(a + np.array(o), rng.integers(1, 20, size=len(o)))
-               for o in offsets]
+    counts = [rng.integers(1, 20, size=len(o)) for o in offsets[:3]]
+    counts += [[2**61, 2**61 - 7, 1000], [2**62 - 100, 600, 300, 9]]
+    samples = [IntegerSample(a + np.array(o), c) for o, c in zip(offsets, counts)]
+    assert sum(x.size for x in samples) > 2**63
     dev = _deviations(np.array(betas) + 1.0, a,
                       np.concatenate([x.unique_values for x in samples]),
-                      np.concatenate([x.survival_counts for x in samples]),
+                      np.concatenate([x.unique_counts for x in samples]),
                       [x.unique_values.size for x in samples])
     at = 0
     for sample, b in zip(samples, betas):

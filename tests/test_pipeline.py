@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import multiprocessing
 import os
 import threading
@@ -356,6 +357,18 @@ def test_fit_at_a_rejects_no_replicas():
     assert fit_at_a(data, 1, np.int64(100), 0) == fit_at_a(data, 1, 100, 0)
 
 
+def test_n_sim_is_at_most_2_to_the_32():
+    # replica 2^32 + j at attempt 0 would draw the substream of replica j's
+    # first regeneration
+    assert replica_stream(2**32, 0) == replica_stream(0, 1)
+    data = power_law_data(1.2, 200, seed=31)
+    with pytest.raises(ValueError, match=r"n_sim must be in \[1, 2\^32\]"):
+        fit_at_a(data, 1, 2**32 + 1, 0)
+    with pytest.raises(ValueError, match=r"n_sim must be in \[100, 2\^32\]"):
+        ScanConfig(n_sim=2**32 + 1)
+    assert ScanConfig(n_sim=2**32).n_sim == 2**32
+
+
 def test_fit_at_a_compares_a_uint64_cutoff_exactly():
     # 2^62 - 1 lies below the cutoff 2^62 but rounds onto it in float64,
     # where an np.uint64 cutoff was once compared with the int64 table
@@ -451,7 +464,7 @@ def test_refit_alone_sorts_out_replicas_at_the_cutoff(a):
     # a block's replicas are all refit, with no test for values all at the
     # cutoff: such a replica's root lies past the upper bound
     for n_a in [2, 10, 10**6]:
-        log_g, *_ = pipeline._tables(n_a, np.full(3, a), np.full(3, n_a), np.ones(3, dtype=np.int64))
+        log_g = log_geo_means(np.full(3, a), np.full(3, n_a), [0, 1, 2], n_a)
         assert np.all(solve_betas(log_g, a)[2] == AT_BOUND)
     # one value a + 1 among N_a: no replica that fit_beta's at_cutoff test
     # would refuse is solved (at a = 1 that takes N_a >= 6.9e11)
@@ -584,6 +597,46 @@ def test_scan_worker_processes_after_pooled_fits(monkeypatch):
         assert multiprocessing.active_children() == []
     assert results[0] == results[1]
     assert results[0].fits[0] == pooled
+
+
+_JOB = pipeline._job
+
+
+def recorded_job(log, first, task):
+    """``_job``, which appends its start and its end to the file ``log``;
+    a job of any cutoff but ``first`` sleeps before it runs."""
+    with open(log, "a") as f:
+        f.write("start\n")
+    if task[1] != first:
+        time.sleep(0.2)
+    result = _JOB(task)
+    with open(log, "a") as f:
+        f.write("end\n")
+    return result
+
+
+def test_closing_fits_starts_no_queued_job(monkeypatch, tmp_path):
+    # a consumer that stops after the first of 41 cutoffs closes the
+    # generator: the pool cancels every call it has not handed to its
+    # processes, so past the jobs finished at the close at most P running
+    # and P + 1 queued ones start (Executor.map submits all 41 at once),
+    # and the processes are joined.  The later cutoffs' jobs sleep, so the
+    # pool still holds most of them at the close
+    data = IntegerSample(np.arange(1, 51), np.full(50, 10))
+    cutoffs = [(a, _seed_for_cutoff(1, a)) for a in range(1, 42)]
+    log = tmp_path / "jobs"
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_job", functools.partial(recorded_job, str(log), 1))
+    fits = pipeline._fits(data, cutoffs, 100, 2)
+    assert next(fits).a == 1
+    finished = log.read_text().count("end")
+    fits.close()
+    assert multiprocessing.active_children() == []
+    started = log.read_text().count("start")
+    assert finished >= 1
+    assert started - finished <= 2 * 2 + 1
+    # a job that was running or queued at the close finishes
+    assert log.read_text().count("end") == started
 
 
 def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
