@@ -25,7 +25,7 @@ import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -126,12 +126,28 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _workers(jobs, variates):
-    """Processes to fork for ``jobs`` independent jobs that draw ``variates``
-    variates in all: at most one a usable CPU and one a job, and no more
-    than give each process a whole sampler unit of ``_UNIT`` variates,
-    since less work takes less time than the fork."""
-    workers = min(jobs, variates // sampling._UNIT)
+def _prices(sample, a_values):
+    """What one replica of ``sample``'s tail at each cutoff costs to draw,
+    refit and measure, in row variates: min(N_a, ``_TABLE_DRAWS``) + D_a
+    for a tail of N_a observations and D_a distinct values.  The sampler
+    draws a replica as its count table once ``_TABLE_DRAWS`` of its draws
+    are expected in the table's cells, so a draw costs at most about that
+    many row variates, and the refit and KS pass cost a term a distinct
+    value.  An empty tail costs 0.  Needs no fitted exponent, which only
+    the jobs compute."""
+    tails = np.append(sample.survival_counts, 0)
+    distinct = sample.unique_values.size
+    return [min(int(tails[i]), sampling._TABLE_DRAWS) + distinct - i
+            for i in map(sample.tail_start, a_values)]
+
+
+def _workers(jobs, work):
+    """Processes to fork for ``jobs`` independent jobs of ``work`` in all,
+    priced in row variates (``_prices``): at most one a usable CPU and one
+    a job, and no more than give each process the work of a whole sampler
+    unit of ``_UNIT`` variates, since less work takes less time than
+    forking and joining the pool."""
+    workers = min(jobs, work // sampling._UNIT)
     return 1 if workers < 2 else min(workers, _usable_cpus())
 
 
@@ -145,7 +161,8 @@ def _processes(workers):
     pool already spreads the work over the CPUs) or where ``fork`` is
     unavailable, yield the builtin ``map`` and P = 1.  Forked, not spawned:
     a spawned process imports numpy and dplfit afresh, and a pool of two
-    takes 0.35 s to spawn, 12 ms to fork (2 vCPUs)."""
+    takes 0.35 s to spawn, 12 ms to fork (2 vCPUs).  End to end, forking,
+    feeding and joining it cost about 20 ms a fit there."""
     if workers > 1:
         import multiprocessing  # slow to import: only a pool needs it
 
@@ -190,9 +207,11 @@ def _job(task):
     """Replicas ``lo`` to ``hi`` - 1 of cutoff ``a``: the empirical fit and
     d_emp, then a loop of attempts over the replicas in blocks, each
     attempt's start states from one ``stream_starts`` generator (which
-    hashes each 256-id key block once).  Returns (N_a, the fit, d_emp, the
-    lost mass, the distances, the regenerations) or the precondition error
-    raised; stops once the regenerations pass the budget of 100 n_sim.
+    hashes each 256-id key block once) fed one block's ids at a time, so
+    that a replica holds only its id and its distance.  Returns (N_a, the
+    fit, d_emp, the lost mass, the distances, the regenerations) or the
+    precondition error raised; stops once the regenerations pass the
+    budget of 100 n_sim.
     Raises ``DplfitError``, which is no precondition error, when the job
     runs out of memory, as the 8 GB of distances of 10^9 replicas do on a
     small machine."""
@@ -207,9 +226,11 @@ def _job(task):
         todo = np.arange(lo, hi)
         regenerated = attempt = 0
         while todo.size and regenerated <= 100 * n_sim:
-            starts = sampling.stream_starts(seed, sampling.replica_stream(todo, attempt).tolist())
+            blocks = np.array_split(todo, -(-todo.size // block))
+            starts = sampling.stream_starts(seed, chain.from_iterable(
+                sampling.replica_stream(ids, attempt).tolist() for ids in blocks))
             unsolved = []
-            for ids in np.array_split(todo, -(-todo.size // block)):
+            for ids in blocks:
                 solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)))
                 d_sims[ids[solved] - lo] = d
                 unsolved.append(ids[~solved])
@@ -228,20 +249,20 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     replicas: yield each cutoff's ``FitAtA`` or precondition error, in
     cutoff order, as soon as its jobs' results are in.
 
-    On P processes cutoff a, which holds w_a = n_sim N_a of the work, runs
-    as k = min(n_sim, ceil(P w_a / sum w)) jobs (``_job``), at least one:
-    a cutoff that holds more than a P-th of the work is split, and every
-    other runs whole in one process.  ``workers`` W >= 2 gives P = min(W,
-    usable CPUs), and otherwise the ``_workers`` gate picks P.  A cutoff's
-    first job error wins; else its distances are assembled in replica order
-    and more than 100 n_sim regenerations in all raise ``ConvergenceError``.
+    Cutoff a holds w_a = n_sim x the price of its replica (``_prices``) of
+    the work.  On P processes it runs as k = min(n_sim, ceil(P w_a / sum
+    w)) jobs (``_job``), at least one: a cutoff that holds more than a
+    P-th of the work is split, and every other runs whole in one process.
+    ``workers`` W >= 2 gives P = min(W, usable CPUs), and otherwise the
+    ``_workers`` gate picks P from the same sum w.  A cutoff's first job
+    error wins; else its distances are assembled in replica order and more
+    than 100 n_sim regenerations in all raise ``ConvergenceError``.
 
     The pool is shut down when the generator ends, raises or is closed; a
     consumer that stops early closes it, and then no queued job starts
     that the pool had not yet handed to a process (``_processes``).
     """
-    tails = np.append(sample.survival_counts, 0)
-    work = [n_sim * int(tails[sample.tail_start(a)]) for a, _ in cutoffs]
+    work = [n_sim * price for price in _prices(sample, [a for a, _ in cutoffs])]
     total = sum(work)
     workers = (min(workers, _usable_cpus()) if workers > 1
                else _workers(n_sim * len(cutoffs), total))
@@ -321,7 +342,7 @@ def scan(sample, config=ScanConfig()):
     All the cutoffs run through one ``_fits`` call, on one pool of forked
     processes that is shut down before this returns: ``workers`` W >= 2
     fixes P at W, at most one a usable CPU, and ``workers`` 1 lets the
-    ``_workers`` gate pick P from the scan's n_sim x sum N_a variates.
+    ``_workers`` gate pick P from the scan's priced work (``_fits``).
     Each cutoff's result is read as it arrives, in cutoff order, and the
     generator is read to its end.
 

@@ -5,6 +5,7 @@ import os
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from dplfit.distribution import (
     log_geo_means,
     sufficient_stat,
 )
-from dplfit.errors import ConvergenceError, DplfitError, TailTooLargeError
+from dplfit.errors import ConvergenceError, DplfitError, EmptyTailError, TailTooLargeError
 from dplfit.ks import ks_statistic
 from dplfit.mle import AT_BOUND, SOLVED, fit_beta, solve_betas
 from dplfit.pipeline import (
@@ -160,8 +161,7 @@ def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # at n_sim = 1000 peaks at about 3.3 MB inline, as in a scan's worker
     # process
     data = power_law_data(1.13, 350, seed=5, a=23)
-    n_a = data.truncated(23).size
-    assert pipeline._workers(1000, 1000 * n_a) == 1
+    assert pipeline._workers(1000, priced(data, [23], 1000)) == 1
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 8 * 2**20
     # split into two slices of 500 replicas on two processes, one block of
     # 250 replicas peaks at about 3.2 MB in its process
@@ -169,16 +169,35 @@ def test_fit_at_a_stays_within_its_memory_budget(monkeypatch):
     # and the calling process, which holds the slices' distances, at about
     # 0.4 MB
     force_cpus(monkeypatch, 2)
-    assert pipeline._workers(1000, 1000 * n_a) == 2
+    assert pipeline._workers(1000, priced(data, [23], 1000)) == 2
     assert traced_peak(fit_at_a, data, 23, 1000, 3) <= 2**20
     assert multiprocessing.active_children() == []
 
 
+def test_a_job_holds_16_bytes_a_replica(monkeypatch):
+    # a job keeps each replica's distance and id, 16 bytes, and feeds the
+    # start states one block's ids at a time: its peak grows by no more
+    # than that and some slack a replica.  Each block's attempt is a stub
+    # that solves every replica, since what a real one holds depends on
+    # the block, not on n_sim
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(pipeline, "_attempt", lambda params, n_a, starts: (
+        np.ones(len(starts), dtype=bool), np.zeros(len(starts))))
+    data = IntegerSample(np.random.default_rng(1).zipf(2.13, 36))
+    small, large = (traced_peak(fit_at_a, data, 1, n_sim, 3) for n_sim in (20000, 80000))
+    assert large - small <= 24 * (80000 - 20000)
+
+
 def force_cpus(monkeypatch, cpus, unit=64):
-    # any fit of at least `cpus` reduce units of `unit` variates splits; the
-    # sampler reduces its rows in units of that size too
+    # any fit priced at least `cpus` reduce units of `unit` variates
+    # splits; the sampler reduces its rows in units of that size too
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(dplfit.sampling, "_UNIT", unit)
+
+
+def priced(data, a_values, n_sim):
+    """The work ``_fits`` weighs n_sim replicas at each cutoff as."""
+    return n_sim * sum(pipeline._prices(data, a_values))
 
 
 def processes_in_a_worker(workers):
@@ -212,6 +231,65 @@ def test_process_count_gate(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def planned(monkeypatch, data, a_values, n_sim, cpus, workers=1):
+    """The P that ``_fits`` asks ``_processes`` for at ``cpus`` usable CPUs,
+    and the number of jobs k it makes of each cutoff: read off a run that
+    forks nothing and runs no job."""
+    asked, jobs = [], []
+
+    @contextmanager
+    def no_pool(processes):
+        asked.append(processes)
+        yield map, processes
+
+    def no_job(task):
+        jobs.append(task[1])
+        return EmptyTailError("not run")
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_processes", no_pool)
+    monkeypatch.setattr(pipeline, "_job", no_job)
+    fits = pipeline._fits(data, [(a, 0) for a in a_values], n_sim, workers)
+    assert all(isinstance(fit, EmptyTailError) for fit in fits)
+    (processes,) = asked
+    return processes, [jobs.count(a) for a in a_values]
+
+
+def test_plan_prices_each_replica(monkeypatch):
+    # data shaped like the benchmark's workloads, zipf(2.13) draws at
+    # beta = 1.13.  A replica is priced min(N_a, _TABLE_DRAWS) + D_a row
+    # variates: a large tail's replicas are drawn as tables
+    rng = np.random.default_rng(1)
+    large = IntegerSample(rng.zipf(2.13, 300000))
+    distinct = large.unique_values.size
+    assert pipeline._prices(large, [1]) == [dplfit.sampling._TABLE_DRAWS + distinct]
+    # large_tail_fit: 100 replicas of 300000 draws at a = 1 are priced
+    # under two sampler units, so the fit runs inline
+    for cpus in (2, 8):
+        assert planned(monkeypatch, large, [1], 100, cpus) == (1, [1])
+    # `workers` W >= 2 still fixes P, and a fit's one cutoff is split
+    assert planned(monkeypatch, large, [1], 100, 2, workers=2) == (2, [2])
+    # corpus_scan: 22035 draws over their default cutoffs at n_sim 1000
+    # run on a process a CPU at 2 CPUs, with every cutoff whole
+    corpus = IntegerSample(rng.zipf(2.13, 22035))
+    a_values = default_cutoffs(corpus, 10)
+    assert len(a_values) > 100
+    assert planned(monkeypatch, corpus, a_values, 1000, 2) == (2, [1] * len(a_values))
+    # a = 1 holds over a third of the scan's variates but about a
+    # twentieth of its price, so it runs whole at 3 CPUs too
+    tails = [corpus.truncated(a).size for a in a_values]
+    prices = pipeline._prices(corpus, a_values)
+    assert 3 * tails[0] > sum(tails) and 10 * prices[0] < sum(prices)
+    assert planned(monkeypatch, corpus, a_values, 1000, 3) == (3, [1] * len(a_values))
+    # counts_ingest: a 1000-observation tail at n_sim 100 runs inline
+    ingest = IntegerSample(rng.zipf(2.13, 1000))
+    assert planned(monkeypatch, ingest, [1], 100, 8) == (1, [1])
+    # a cutoff past the largest value has an empty tail, which weighs 0
+    past = int(corpus.unique_values[-1]) + 1
+    assert pipeline._prices(corpus, [past, 2**64]) == [0, 0]
+    assert planned(monkeypatch, corpus, [past], 1000, 2) == (1, [1])
+
+
 def never_solving(seed, replicas, attempts):
     """An ``_attempt`` under which ``replicas`` of the fit at ``seed`` fail
     their first ``attempts`` attempts and every other replica solves."""
@@ -240,19 +318,25 @@ def test_processes_change_no_result(monkeypatch, processes):
         assert regenerating.regenerated > 10
         scan_config = ScanConfig(a_values=(1, 2, 3), n_sim=100, seed=5)
         serial_scan = scan(data, scan_config)
-        tails = [data.truncated(a).size for a in scan_config.a_values]
-        force_cpus(monkeypatch, processes)
-        assert pipeline._workers(300, 300 * 200) == pipeline._workers(100, 100 * 14) == processes
-        assert pipeline._workers(300, 100 * sum(tails)) == processes
+        prices = pipeline._prices(data, scan_config.a_values)
+        # a unit small enough that the tiny fit, priced 2 units a replica
+        # where its replicas are tables, still takes every process
+        force_cpus(monkeypatch, processes, unit=16)
+        assert (pipeline._workers(300, priced(data, [1], 300))
+                == pipeline._workers(100, priced(tiny, [1], 100)) == processes)
+        assert pipeline._workers(300, 100 * sum(prices)) == processes
         # on more than one process the scan splits its first cutoff, which
-        # holds more than a P-th of its work, into slices of its replicas
-        assert (-(-processes * tails[0] // sum(tails)) > 1) == (processes > 1)
+        # holds more than a P-th of its work, into slices of its replicas;
+        # drawn as tables, its replicas cost about as much as the other
+        # cutoffs', and it is split from P = 3 on
+        first = -(-processes * prices[0] // sum(prices))
+        assert (first > 1) == (processes > (1 if table_draws else 2))
         # and at the pass sizes of the tests above, but for a reduce unit
         # past any ensemble, which would keep the fits from splitting
         for size in (None,) + PASS_SIZES:
             if size is not None:
                 with_pass_sizes(monkeypatch, size)
-                monkeypatch.setattr(dplfit.sampling, "_UNIT", min(size, 64))
+                monkeypatch.setattr(dplfit.sampling, "_UNIT", min(size, 16))
             assert fit_at_a(data, 1, 300, seed=8, keep_d_sims=True) == default
             assert fit_at_a(tiny, 1, 100, seed=21, keep_d_sims=True) == regenerating
             assert scan(data, scan_config) == serial_scan
@@ -337,8 +421,8 @@ def test_pooled_fit_stays_within_its_memory_budget(monkeypatch):
     # 300000-observation tail, drawn as tables, peaks at about 0.7 MB in
     # its process
     data = power_law_data(1.13, 300000, seed=5)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    assert pipeline._workers(20, 20 * data.size) == 2
+    force_cpus(monkeypatch, 2)
+    assert pipeline._workers(20, priced(data, [1], 20)) == 2
     assert traced_peak(pipeline._attempt, *first_block(data, 1, 20, 3, 2)) <= 5.2 * 2**20
     # and the calling process, which runs no slice, at about 0.1 MB
     assert traced_peak(fit_at_a, data, 1, 20, 3) <= 2**20
@@ -584,10 +668,9 @@ def test_scan_worker_processes_after_pooled_fits(monkeypatch):
     # over worker processes, which fork nothing; a pool kept past its fit
     # would be inherited by the workers
     data = power_law_data(1.3, 20000, seed=22)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    force_cpus(monkeypatch, 2)
     config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
-    tails = [data.truncated(a).size for a in config.a_values]
-    assert all(pipeline._workers(100, 100 * n_a) == 2 for n_a in tails)
+    assert all(pipeline._workers(100, priced(data, [a], 100)) == 2 for a in config.a_values)
     pooled = fit_at_a(data, 1, 100, pipeline._seed_for_cutoff(5, 1))
     # each pool is shut down with its fit or its scan, its processes joined
     assert multiprocessing.active_children() == []
@@ -677,8 +760,8 @@ def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
     assert scan(data, config) == expected
     assert pools == [] and {pid for *_, pid in recorded()} == {os.getpid()}
     force_cpus(monkeypatch, 2)
-    tails = [data.truncated(a).size for a in config.a_values]
-    assert pipeline._workers(300, 100 * sum(tails)) == 2
+    prices = pipeline._prices(data, config.a_values)
+    assert pipeline._workers(300, 100 * sum(prices)) == 2
     assert scan(data, config) == expected
     assert pools == [2]
     runs = recorded()
@@ -690,7 +773,7 @@ def test_scan_forks_one_pool_for_its_cutoffs(monkeypatch):
     # ceil(2 w_1 / sum w) = 2 consecutive slices, the others whole, every
     # attempt of each in one process
     assert pipeline._BLOCK_VALUES // data.unique_values.size >= 100
-    splits = [-(-2 * n_a // sum(tails)) for n_a in tails]
+    splits = [-(-2 * price // sum(prices)) for price in prices]
     assert splits == [2, 1, 1]
     for a, k in zip(config.a_values, splits):
         slices = sorted((i, size) for b, i, size, _ in runs if b == a and i is not None)
@@ -720,8 +803,8 @@ def test_without_fork_everything_runs_inline(monkeypatch):
     config = ScanConfig(a_values=(1, 2), n_sim=100, seed=5)
     expected_fit = fit_at_a(data, 1, 100, seed=5, keep_d_sims=True)
     expected = scan(data, config)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    assert pipeline._workers(100, 100 * data.size) == 2
+    force_cpus(monkeypatch, 2)
+    assert pipeline._workers(100, priced(data, [1], 100)) == 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
     assert fit_at_a(data, 1, 100, seed=5, keep_d_sims=True) == expected_fit

@@ -36,6 +36,8 @@ def run_script(script, *args, cwd=None):
      r"rejection rate at p <= 0\.05: \d\.\d{4} \(99% band around 0\.05: "),
     ("scan_repetitions.py", "--reps 1 --n 300 --nsim 100 --workers 1",
      r"a\*=1 in [01]/1 repetitions \(rate "),
+    ("job_costs.py", "--corpus 300 --large 3000 --nsim 100 --repeats 1",
+     r"spread of seconds per variate: \d+\.\d\nspread of seconds per price unit: \d+\.\d\n"),
 ])
 def test_experiment_script_runs(script, args, summary):
     proc = run_script(script, *args.split())
