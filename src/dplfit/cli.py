@@ -181,8 +181,11 @@ class ReportRecord:
         _write_output(path, self.to_json())
 
 
-def _base_document(provenance, sample, seed, n_sim):
-    return {
+def _base_document(provenance, sample, seed, n_sim, analysis, result, notes=()):
+    """The reproducible report of an ``analysis``: the tool, input, seed and
+    n_sim that reproduce it, ``result`` under the analysis's name, and
+    ``notes`` followed by the rejection level's."""
+    return ReportRecord({
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {
             "name": "dplfit",
@@ -192,7 +195,10 @@ def _base_document(provenance, sample, seed, n_sim):
         "input": provenance | {"n_values": sample.size},
         "seed": seed,
         "n_sim": n_sim,
-    }
+        "analysis": analysis,
+        analysis: result,
+        "notes": [*notes, f"fits with p <= {REJECT_LEVEL} are considered bad and rejected"],
+    })
 
 
 def run_fit(spec, a, n_sim, seed):
@@ -203,22 +209,14 @@ def run_fit(spec, a, n_sim, seed):
     """
     sample, provenance = _read_input(spec)
     fit = fit_at_a(sample, a, n_sim, _seed_for_cutoff(seed, a))
-    doc = _base_document(provenance, sample, seed, n_sim)
-    doc["analysis"] = "fit"
-    doc["fit"] = _fit_record(fit)
-    doc["notes"] = [
-        f"fits with p <= {REJECT_LEVEL} are considered bad and rejected",
-    ]
-    return ReportRecord(doc)
+    return _base_document(provenance, sample, seed, n_sim, "fit", _fit_record(fit))
 
 
 def run_scan(spec, config):
     """Cutoff scan wrapped in a reproducible report."""
     sample, provenance = _read_input(spec)
     result = scan(sample, config)
-    doc = _base_document(provenance, sample, config.seed, config.n_sim)
-    doc["analysis"] = "scan"
-    doc["scan"] = {
+    return _base_document(provenance, sample, config.seed, config.n_sim, "scan", {
         "p_threshold": config.p_threshold,
         "min_tail": config.min_tail,
         "fits": [_fit_record(f) for f in result.fits],
@@ -226,13 +224,8 @@ def run_scan(spec, config):
         "a_star": result.a_star,
         "beta_star": result.beta_star,
         "sigma_star": result.sigma_star,
-    }
-    doc["notes"] = [
-        "per-cutoff p-values are conditional on the scan; the p-value of the "
-        "selected cutoff is not the overall p-value of the procedure",
-        f"fits with p <= {REJECT_LEVEL} are considered bad and rejected",
-    ]
-    return ReportRecord(doc)
+    }, notes=["per-cutoff p-values are conditional on the scan; the p-value of "
+              "the selected cutoff is not the overall p-value of the procedure"])
 
 
 def emit_curves(sample, model, destination):
@@ -269,10 +262,6 @@ def _human_fit_line(rec):
     )
 
 
-def _print_fit_report(doc):
-    print(_human_fit_line(doc["fit"]))
-
-
 def _print_scan_report(doc):
     scan_doc = doc["scan"]
     for rec in scan_doc["fits"]:
@@ -302,7 +291,7 @@ def _add_input_args(sub):
 def _cmd_fit(args):
     spec = InputSpec(args.input, args.format, args.encoding)
     record = run_fit(spec, args.a, args.nsim, args.seed)
-    _print_fit_report(record.document)
+    print(_human_fit_line(record.document["fit"]))
     if args.out:
         record.write(args.out)
     return 0

@@ -253,8 +253,9 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     the work.  On P processes it runs as k = min(n_sim, ceil(P w_a / sum
     w)) jobs (``_job``), at least one: a cutoff that holds more than a
     P-th of the work is split, and every other runs whole in one process.
-    ``workers`` W >= 2 gives P = min(W, usable CPUs), and otherwise the
-    ``_workers`` gate picks P from the same sum w.  A cutoff's first job
+    ``workers`` W >= 2 gives P = min(W, usable CPUs) where there is work,
+    and otherwise the ``_workers`` gate picks P from the same sum w (a sum
+    of 0, no cutoff or only empty tails, runs inline).  A cutoff's first job
     error wins; else its distances are assembled in replica order and more
     than 100 n_sim regenerations in all raise ``ConvergenceError``.
 
@@ -264,7 +265,7 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
     """
     work = [n_sim * price for price in _prices(sample, [a for a, _ in cutoffs])]
     total = sum(work)
-    workers = (min(workers, _usable_cpus()) if workers > 1
+    workers = (min(workers, _usable_cpus()) if workers > 1 and total
                else _workers(n_sim * len(cutoffs), total))
     with _processes(workers) as (mapped, workers):
         splits = [max(1, min(n_sim, -(-workers * w // max(total, 1)))) for w in work]
@@ -341,8 +342,9 @@ def scan(sample, config=ScanConfig()):
 
     All the cutoffs run through one ``_fits`` call, on one pool of forked
     processes that is shut down before this returns: ``workers`` W >= 2
-    fixes P at W, at most one a usable CPU, and ``workers`` 1 lets the
-    ``_workers`` gate pick P from the scan's priced work (``_fits``).
+    fixes P at W, at most one a usable CPU, where the scan has any work,
+    and otherwise the ``_workers`` gate picks P from the scan's priced
+    work (``_fits``).
     Each cutoff's result is read as it arrives, in cutoff order, and the
     generator is read to its end.
 

@@ -35,8 +35,9 @@ conditioned on y < 2^63 as a row's are, in O(cells + envelope) work, not
 O(N).  With no cells (pvals (1,)) the multinomial draws nothing, since
 numpy draws a binomial for each category but the last, and the replica
 is its row.  A replica is drawn as its table only where its cells are
-expected to take at least ``_TABLE_DRAWS`` of its draws, where that is
-the cheaper.
+expected to take at least ``_TABLE_DRAWS`` of its draws, a rule that
+measurements on both sides of it do not bear out everywhere (ROADMAP
+item 12).
 
 Rows are drawn a group at a time (``sample_rows``): each row's start
 state is set on one reused bit generator, and the group's first batches
@@ -95,12 +96,14 @@ _MAX_CELLS = 1 << 16
 
 # A replica is drawn as its table when its cells are expected to take at
 # least this many of its draws.  A table costs about 30-170 us a replica
-# to draw, growing with its cells, and a row about 35 ns a variate, so
-# they break even near 1400 cell draws: one process's job of 1000
-# replicas of the corpus_scan corpus (2 vCPUs) took 109 ms as tables
-# against 156 ms as rows at 2214 cell draws (a = 5), 107 against 108 ms at
-# 1371 (a = 7) and 106 against 96 ms at 1182 (a = 8); at a = 50,
-# beta = 1.13 (311 cells) the two tie at 2681.
+# to draw, growing with its cells, and a row about 35 ns a variate, so no
+# one count of cell draws is the break-even.  Jobs of 1000 replicas of the
+# corpus_scan corpus (one process, 2 vCPUs) ran faster as tables at a = 5
+# (2214 cell draws, 109 against 156 ms) and, in a later session, at
+# a = 6-8 (tails of 1272-1782 draws, drawn as rows by this rule), though
+# an earlier session had rows ahead at a = 8; at a = 50, beta = 1.13
+# (311 cells) rows were cheaper at 2681 cell draws.  A better rule changes
+# which replicas are tables, so RNG_ALGORITHM with it (ROADMAP item 12).
 _TABLE_DRAWS = 1 << 11
 
 

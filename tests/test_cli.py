@@ -110,11 +110,17 @@ def test_ingest_counts_bad_row(tmp_path):
     assert err.value.lineno == 2
 
 
-def test_ingest_empty_input(tmp_path):
+def test_ingest_empty_input(tmp_path, capsys):
     f = tmp_path / "empty.txt"
     f.write_text("\n\n", encoding="utf-8")
     with pytest.raises(DplfitError):
         ingest(InputSpec(str(f), "integers"))
+    # a corpus with no letters has no tokens, and `fit` on it fails cleanly
+    f.write_text("42 -- 7\n", encoding="utf-8")
+    with pytest.raises(DplfitError, match="no tokens found"):
+        ingest(InputSpec(str(f), "corpus"))
+    assert main(["fit", str(f), "--format", "corpus", "--a", "1", "--nsim", "100"]) == 1
+    assert capsys.readouterr().err == f"error: {f}: no tokens found\n"
 
 
 def test_ingest_corpus(tmp_path):

@@ -69,6 +69,8 @@ def test_sample_validation():
         IntegerSample([0, 1])
     with pytest.raises(ValueError):
         IntegerSample([[1, 2]])
+    with pytest.raises(ValueError):
+        IntegerSample([1, 2]).truncated(0)
 
 
 def test_table_validation():

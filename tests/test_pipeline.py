@@ -206,6 +206,9 @@ def processes_in_a_worker(workers):
 
 
 def test_process_count_gate(monkeypatch):
+    # without an affinity call the usable CPUs are all the CPUs
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pipeline._usable_cpus() == (os.cpu_count() or 1)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
     # one process a whole 2^18-variate reduce unit, one a replica, one a CPU
     assert pipeline._workers(100, 100 * 300000) == 4
@@ -793,6 +796,16 @@ def test_scan_on_one_cpu_starts_no_process(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
     assert scan(data, replace(config, workers=2)) == serial
+    # nor does `workers` 2 on two CPUs where the plan is priced 0: a scan
+    # with no cutoff, and one whose only tail is empty
+    empty = [ScanConfig(min_tail=10**6, n_sim=100, seed=5),
+             ScanConfig(a_values=(10**9,), n_sim=100, seed=5)]
+    inline = [scan(data, config) for config in empty]
+    assert [priced(data, config.a_values or [], 100) for config in empty] == [0, 0]
+    assert inline[0].fits == inline[0].skipped == ()
+    assert [a for a, _ in inline[1].skipped] == [10**9]
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    assert [scan(data, replace(config, workers=2)) for config in empty] == inline
 
 
 def test_without_fork_everything_runs_inline(monkeypatch):
