@@ -9,7 +9,9 @@ table of distinct values v and their counts, as the sampler returns it:
 N_v, the number of its data >= v, is its counts summed from its last
 value back.  The model survival S(v) and mass f(v) are evaluated at every
 distinct value as ``PowerLawModel.survival`` and ``.pmf`` evaluate them,
-and S(v + 1) = S(v) - f(v) (``_deviations``).
+and S(v + 1) = S(v) - f(v) (``_deviations``).  A pass over many samples
+makes one kernel call for all of their values and keeps no chunking of
+its own: the kernel bounds its temporaries itself.
 """
 
 from dataclasses import dataclass
@@ -34,13 +36,6 @@ class PValue:
     n_exceed: int
 
 
-# Points per evaluation of the zeta kernel, to bound its temporaries (about
-# 15 float64 arrays of this size): at 2^12 a block of a 350-observation
-# tail at n_sim 1000 peaks at 3.2 MB under tracemalloc, against 4.8 MB at
-# 2^15, and neither corpus_scan nor large_tail_fit ran slower.
-_ZETA_CHUNK = 1 << 12
-
-
 def _deviations(s, a, values, counts, lengths):
     """|N_n/N - S(n)| of several samples truncated at a, at each distinct
     value v (column 0) and at v + 1 (column 1), one row per value.
@@ -56,9 +51,10 @@ def _deviations(s, a, values, counts, lengths):
     f(v) = (a/v)^s / Z(s, a) are computed at every value with the
     operations of ``PowerLawModel.survival`` and ``.pmf``, so each bit
     equals theirs, and S(v + 1) = S(v) - f(v).  The kernel
-    ``scaled_zeta`` takes each value's exponent through its ``rows``
-    argument, so the terms that depend on s alone are computed once a
-    sample, and runs once at the cutoff for every sample's norm Z(s, a).
+    ``scaled_zeta`` runs once over every value, each taking its sample's
+    exponent through its ``rows`` argument, so the terms that depend on s
+    alone are computed once a sample; and once at the cutoff for every
+    sample's norm Z(s, a).
     Every operation is elementwise, so a sample's distances do not depend
     on the samples it is measured with.
     """
@@ -68,10 +64,7 @@ def _deviations(s, a, values, counts, lengths):
     # difference within one sample, at most its N, comes out exact
     total = np.cumsum(counts)
     above = total[first + lengths - 1][sample] - total + counts
-    z = np.empty(values.size)
-    for lo in range(0, values.size, _ZETA_CHUNK):
-        at = slice(lo, lo + _ZETA_CHUNK)
-        z[at] = scaled_zeta(s, values[at], rows=sample[at])
+    z = scaled_zeta(s, values, rows=sample)
     norm = scaled_zeta(s, a)[sample]
     power = scaled_power(s[sample], a, values)
     model = power * (z / norm)

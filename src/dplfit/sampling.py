@@ -22,7 +22,7 @@ that definition, so it changes no variate.
 
 A replica of N draws at (a, beta), s = beta + 1, whose values a <= n < T
 are each expected at least once, N (a/n)^s / Z >= 1 with Z taken from
-below, is drawn as its table instead (``composite``, ``_draw_table``).
+below, is drawn as its table instead (``composite``, ``_draw_tables``).
 Those values are its cells, at most ``_MAX_CELLS``, and cell n weighs
 (a/n)^s; everything at or above T is the envelope, the proposal at cutoff
 T, of weight W = (a/T)^s t_T/(t_T - 1).  From the start of the replica's
@@ -36,8 +36,12 @@ O(N).  With no cells (pvals (1,)) the multinomial draws nothing, since
 numpy draws a binomial for each category but the last, and the replica
 is its row.  A replica is drawn as its table only where its cells are
 expected to take at least ``_TABLE_DRAWS`` of its draws, a rule that
-measurements on both sides of it do not bear out everywhere (ROADMAP
-item 12).
+measurements below it do not bear out (ROADMAP item 12).  The replicas
+of one call are drawn a round at a time: each replica still short draws
+its round from its own stream, and the round's envelope trials, pooled,
+are made and tested by one ``_propose`` a pass of at most ``_CHUNK``
+proposals, so that a pass's numpy calls are shared by its replicas
+rather than repeated for each.
 
 Rows are drawn a group at a time (``sample_rows``): each row's start
 state is set on one reused bit generator, and the group's first batches
@@ -45,9 +49,10 @@ are one (rows x 2 batch) array of uniforms whose proposals are made and
 tested in one pass, as many rows as fit in ``_CHUNK`` proposals.  A row
 that comes up short, as every row of a tail larger than ``_CHUNK``
 proposals does, goes on from the end of its first batch as a draw from
-the composite with no cells: ``_draw_table`` is the one rejection loop
+the composite with no cells: ``_draw_tables`` is the one rejection loop
 after the first batches, and the row's remaining variates are the next
-accepts of its stream, in draw order.
+accepts of its stream, in draw order.  The short rows of a call share
+its rounds, as a block's tables do.
 
 However a replica is drawn, what the sampler returns is its table of
 distinct values and counts (``sample_replicas``), reduced by the one
@@ -95,15 +100,15 @@ _UNIT = 1 << 18
 _MAX_CELLS = 1 << 16
 
 # A replica is drawn as its table when its cells are expected to take at
-# least this many of its draws.  A table costs about 30-170 us a replica
-# to draw, growing with its cells, and a row about 35 ns a variate, so no
-# one count of cell draws is the break-even.  Jobs of 1000 replicas of the
-# corpus_scan corpus (one process, 2 vCPUs) ran faster as tables at a = 5
-# (2214 cell draws, 109 against 156 ms) and, in a later session, at
-# a = 6-8 (tails of 1272-1782 draws, drawn as rows by this rule), though
-# an earlier session had rows ahead at a = 8; at a = 50, beta = 1.13
-# (311 cells) rows were cheaper at 2681 cell draws.  A better rule changes
-# which replicas are tables, so RNG_ALGORITHM with it (ROADMAP item 12).
+# least this many of its draws.  A table costs about 30-80 us a replica
+# to draw (300 a call, 83-311 cells), growing with its cells, and a row
+# about 35-40 ns a variate, so no one count of cell draws is the
+# break-even.  Jobs of 1000 replicas of the corpus_scan corpus (one
+# process, 2 vCPUs) ran faster as tables at every cutoff a = 5-12 (2214
+# down to 697 cell draws, 44.6 against 120.7 ms at a = 5), most of them
+# drawn as rows by this rule, and as rows from a = 13 (621 cell draws).
+# A better rule changes which replicas are tables, so RNG_ALGORITHM with
+# it (ROADMAP item 12).
 _TABLE_DRAWS = 1 << 11
 
 
@@ -274,8 +279,9 @@ def sample_rows(params, count, starts):
     first batches are drawn as one (rows x 2 batch) array and tested in one
     pass; each row keeps its first ``count`` accepts.  A row left short
     goes on from the end of its first batch, and its remaining variates are
-    the envelope of ``_draw_table`` at pvals (1,), the composite with no
-    cells: the next accepts of its stream, in draw order.
+    its envelope of ``_draw_tables`` at pvals (1,), the composite with no
+    cells: the next accepts of its stream, in draw order.  The short rows
+    of all the groups go through that loop together, after the groups.
     """
     starts = list(starts)
     gen = np.random.Generator(np.random.PCG64(0))
@@ -284,6 +290,7 @@ def sample_rows(params, count, starts):
     batch, group = min(size, _CHUNK), max(1, _CHUNK // size)
     out = _empty((len(starts), count), count)
     uniforms = np.empty((min(group, len(starts)), 2 * batch))
+    short = []  # (row, accepts of its first batch)
     for lo in range(0, len(starts), group):
         rows = out[lo:lo + group]
         u = uniforms[:len(rows)]
@@ -297,8 +304,11 @@ def sample_rows(params, count, starts):
         for r in np.flatnonzero(~full).tolist():
             got = y[r, ok[r]]
             rows[r, :got.size] = got
-            _seek(bitgen, starts[lo + r], 2 * batch)
-            rows[r, got.size:] = _draw_table(gen, count - got.size, params, (1.0,))[1]
+            short.append((lo + r, got.size))
+    _, rest = _draw_tables(count, params, (1.0,), [starts[i] for i, _ in short],
+                           [count - k for _, k in short], 2 * batch)
+    for (i, k), values in zip(short, rest):
+        out[i, k:] = values
     return out
 
 
@@ -330,34 +340,76 @@ def composite(params, count):
     return tail, weights / weights.sum()
 
 
-def _draw_table(gen, count, tail, pvals):
-    """One replica of ``count`` draws from the composite (``composite``) at
-    ``gen``'s position: its count of each cell and its accepted envelope
-    values, in draw order.  With pvals (1,), no cells, it draws no
-    binomial, and the envelope is the next ``count`` accepts of the stream
-    at cutoff ``tail``: how ``sample_rows`` finishes a short row.
+def _settle(tail, u, pooled, envelopes, kept, needs):
+    """Make and test the proposals at cutoff ``tail`` of one pass's
+    uniforms ``u``, which hold the trials of each (replica, trials) of
+    ``pooled`` in turn, and add each replica's accepts to its envelope, in
+    draw order: so many fewer of its trials are still needed."""
+    y, ok = _propose(tail, u)
+    got = y[ok]
+    trials = [size for _, size in pooled]
+    ends = np.cumsum(np.add.reduceat(ok, np.cumsum(trials) - trials)).tolist()
+    for (r, _), lo, hi in zip(pooled, [0] + ends, ends):
+        envelopes[r][kept[r]:kept[r] + hi - lo] = got[lo:hi]
+        kept[r] += hi - lo
+        needs[r] -= hi - lo
 
-    Each round draws one multinomial over the cells and the envelope for
-    the draws still needed, then makes the envelope's m trials as m
-    proposals at cutoff T from the stream's next 2m uniforms, at most
-    ``_CHUNK`` proposals a pass.  The rejected trials are still needed and
-    go back through the whole multinomial, never through the envelope
-    alone, so the draws are exact.
+
+def _draw_tables(count, tail, pvals, starts, needs, skip=0):
+    """Replicas from the composite (``composite``), replica i ``needs[i]``
+    draws from the PCG64 start ``starts[i]``, ``skip`` draws on: each one's
+    count of each cell and its accepted envelope values, in draw order, as
+    two lists.  With pvals (1,), no cells, the multinomials draw nothing,
+    and a replica's envelope is the next ``needs[i]`` accepts of its stream
+    at cutoff ``tail``: how ``sample_rows`` finishes its short rows.
+
+    The replicas are drawn round by round.  In a round, each replica still
+    short restores its bit generator's state, draws one multinomial over
+    the cells and the envelope for the draws it still needs, then its
+    envelope's m trials' 2m uniforms, and keeps its state for the next
+    round.  The round's uniforms are pooled, and one ``_propose`` makes and
+    tests at most ``_CHUNK`` of their proposals a pass, so a replica of
+    more trials than that takes passes of its own.  The rejected trials
+    are still needed and go back through the whole multinomial, never
+    through the envelope alone, so the draws are exact; and each replica
+    reads its own stream in the order it would alone, so it does not
+    depend on the replicas drawn with it.  A replica's envelope is
+    allocated once, for its first round's trials, since no later round
+    has more, through ``_empty``: ``count``, the replicas' size, is what a
+    ``TailTooLargeError`` names.
     """
-    tally, need, kept, envelope = 0, count, 0, None
-    while need:
-        drawn = gen.multinomial(need, pvals)
-        tally += drawn[:-1]
-        trials, before = int(drawn[-1]), kept
-        if envelope is None:  # no later round has more envelope trials
-            envelope = _empty(trials, count)
-        for lo in range(0, trials, _CHUNK):
-            y, ok = _propose(tail, gen.random(2 * min(_CHUNK, trials - lo)))
-            got = y[ok]
-            envelope[kept:kept + got.size] = got
-            kept += got.size
-        need = trials - (kept - before)
-    return tally, envelope[:kept]
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    needs = list(needs)
+    size = len(needs)
+    tallies, envelopes, kept, states = [0] * size, [None] * size, [0] * size, [None] * size
+    uniforms = np.empty(2 * min(_CHUNK, sum(needs)))
+    live = list(range(size))
+    while live:
+        pooled, fill = [], 0
+        for r in live:
+            if states[r] is None:
+                _seek(bitgen, starts[r], skip)
+            else:
+                bitgen.state = states[r]
+            drawn = gen.multinomial(needs[r], pvals)
+            tallies[r] += drawn[:-1]
+            trials = needs[r] = int(drawn[-1])
+            if envelopes[r] is None:
+                envelopes[r] = _empty(trials, count)
+            for lo in range(0, trials, _CHUNK):
+                part = min(_CHUNK, trials - lo)
+                if fill + part > _CHUNK:
+                    _settle(tail, uniforms[:2 * fill], pooled, envelopes, kept, needs)
+                    pooled, fill = [], 0
+                gen.random(out=uniforms[2 * fill:2 * (fill + part)])
+                pooled.append((r, part))
+                fill += part
+            states[r] = bitgen.state
+        if pooled:
+            _settle(tail, uniforms[:2 * fill], pooled, envelopes, kept, needs)
+        live = [r for r in live if needs[r]]
+    return tallies, [envelope[:k] for envelope, k in zip(envelopes, kept)]
 
 
 def _distinct(flat, lengths, weights=None):
@@ -389,8 +441,8 @@ def sample_replicas(params, count, starts):
     ``stream_starts`` of (seed, id_i), however many are drawn at once.
     Where the cells of the composite (``composite``, computed once a call)
     are expected to take at least ``_TABLE_DRAWS`` of a replica's draws,
-    each replica is drawn from its start by ``_draw_table``, one after
-    another through one reused bit generator.  Its segment for
+    the replicas are drawn from their starts by ``_draw_tables``, round by
+    round, each round's envelope trials pooled.  A replica's segment for
     ``_distinct`` is the cells that were hit, weighing their hits, then its
     sorted envelope, each value weighing one; the segment is sorted, since
     the cells are distinct and below T and every envelope value is at
@@ -408,14 +460,11 @@ def sample_replicas(params, count, starts):
             rows.sort(axis=1)
             parts.append(_distinct(rows.ravel(), np.full(len(rows), count)))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    gen = np.random.Generator(np.random.PCG64(0))
-    bitgen = gen.bit_generator
+    tallies, envelopes = _draw_tables(count, tail, pvals, starts, [count] * len(starts))
     # the envelopes' weights are slices of one buffer of ones, grown to the
     # largest envelope yet
     parts, weights, lengths, ones = [], [], [], np.ones(0, dtype=np.int64)
-    for start in starts:
-        _seek(bitgen, start)
-        tally, envelope = _draw_table(gen, count, tail, pvals)
+    for tally, envelope in zip(tallies, envelopes):
         at = np.flatnonzero(tally)
         envelope.sort()
         if ones.size < envelope.size:

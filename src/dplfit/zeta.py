@@ -25,11 +25,15 @@ Differentiated term by term the same sum gives dZ/ds and d2Z/ds2, from
 which the likelihood equation is solved.
 
 Relative to a^-s the corrections are (a/N)^s / N sum_j c_j(s) N^(2-2j),
-c_j(s) = B_2j (s)_{2j-1} / (2j)!.  The coefficients c_j and N0 depend on
-the exponent alone, so they are computed once per exponent, and the sum
-is taken by Horner's rule in 1/N^2.  Many elements can share one
-exponent (the ``rows`` argument): a KS pass evaluates the kernel at
-many values of one replica, at that replica's fitted exponent.
+c_j(s) = B_2j (s)_{2j-1} / (2j)!, summed by Horner's rule in 1/N^2.  Many
+elements can share one exponent (the ``rows`` argument): a KS pass
+evaluates the kernel at many values of one replica, at that replica's
+fitted exponent, and a block's values of many replicas in one call.  So
+a call does what depends on the exponent alone (N0, 1/(s-1) and the
+c_j) once for all its exponents, runs the head sums once over all its
+head elements, one pass a head term, and evaluates the Euler-Maclaurin
+tail ``_CHUNK`` elements at a time, which bounds its temporaries for
+every caller.
 """
 
 import math
@@ -50,6 +54,11 @@ CORRECTIONS = len(BERNOULLI_EVEN)
 # The most head terms the kernel takes for one element: a loop of this
 # length takes about 0.3 s.
 MAX_HEAD_TERMS = 1 << 15
+
+# Elements whose Euler-Maclaurin tail is evaluated at once, which bounds
+# the kernel's temporaries (about 15 float64 arrays of this size) for
+# every caller: the KS pass, the model's survival and the refit.
+_CHUNK = 1 << 12
 
 
 def em_start(s):
@@ -119,10 +128,18 @@ def scaled_zeta(s, a, derivatives=False, rows=None):
     ``a``, with ``s`` an array of exponents taken flat.  ``rows`` defaults
     to the index of each element of ``s`` in its own shape, so that each
     element of the broadcast of ``s`` and ``a`` is its own exponent and a
-    scalar ``s`` is one exponent for every element.  What depends on the
-    exponent alone, N0(s) and the corrections' coefficients, is computed
-    once per exponent, and the corrections are summed by Horner's rule in
-    1/N^2.
+    scalar ``s`` is one exponent for every element.
+
+    A call does its work at three rates.  Once per call, for every
+    exponent at once: N0(s), 1/(s-1) and the corrections' coefficients.
+    Once per head element (M > 0), over all of the call's head elements
+    at once: the head sums, one pass a head term, and the factor
+    exp(-s log1p(M/a)).  Once per chunk of ``_CHUNK`` elements: the
+    integral, the half-term and the corrections, summed by Horner's rule
+    in 1/N^2, so that the tail's temporaries stay the size of a chunk
+    however many elements the call has.  Besides its output, a call holds
+    a few arrays of one value an element: M, then N = a + M, and
+    exp(-s log1p(M/a)) and, with ``derivatives``, log1p(M/a).
 
     An element's head count depends on its own (s, a) only, every
     operation is elementwise and the terms are added in a fixed order, so
@@ -135,61 +152,82 @@ def scaled_zeta(s, a, derivatives=False, rows=None):
     if rows is None:
         rows = np.arange(s.size).reshape(s.shape)
     shape = np.broadcast_shapes(np.shape(rows), np.shape(a))
-    rows = np.broadcast_to(rows, shape).ravel()
+    rows = np.broadcast_to(rows, shape).reshape(-1)
     s = s.ravel()
-    a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()
+    a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape).reshape(-1)
     # em_start overflows from s ~ 1e307; from 1e300 up every cutoff below
     # 2^63 needs more head terms than the cap, so the clamp changes no count
     # that is used
-    m = np.maximum(np.ceil(em_start(np.minimum(s, 1e300))[rows] - a), 0.0)
+    m = em_start(np.minimum(s, 1e300))[rows]
+    m -= a
+    np.maximum(np.ceil(m, out=m), 0.0, out=m)
     heads = m.max(initial=0.0)
-    x = s[rows]  # each element's exponent
     if heads > MAX_HEAD_TERMS:
         raise ValueError(f"zeta exponent too large: more than {MAX_HEAD_TERMS} "
-                         f"head terms at s = {float(x[np.argmax(m)])!r}")
-    z = (m > 0).astype(np.float64)  # the k = 0 head term
-    if derivatives:
-        z1 = np.zeros(a.size)
-        z2 = np.zeros(a.size)
-    live = np.flatnonzero(m > 1)
+                         f"head terms at s = {float(s[rows[np.argmax(m)]])!r}")
+    inv_sm1 = 1.0 / (s - 1.0)
+    c = _coefficients(s, derivatives)
+
+    # the head sums, over the head elements, from the k = 0 term
+    head = np.flatnonzero(m)
+    m_head, a_head, x = m[head], a[head], s[rows[head]]
+    z, z1, z2 = np.ones(head.size), np.zeros(head.size), np.zeros(head.size)
+    live = np.flatnonzero(m_head > 1)
     for k in range(1, int(heads)):
-        live = live[m[live] > k]
-        ell = np.log1p(k / a[live])
+        live = live[m_head[live] > k]
+        ell = np.log1p(k / a_head[live])
         t = np.exp(-x[live] * ell)
         z[live] += t
         if derivatives:
             t *= ell
             z1[live] -= t
             z2[live] += t * ell
+    out = [np.zeros(a.size) for _ in range(3 if derivatives else 1)]
+    for total, sums in zip(out, (z, z1, z2)):
+        total[head] = sums
 
-    n = a + m
-    ell = np.zeros(a.size)
+    # each element's ell = log1p(M/a) and e = exp(-s ell), 0 and 1 where
+    # M = 0, and N = a + M
+    ell_head = np.log1p(m_head / a_head)
     e = np.ones(a.size)
-    head = np.flatnonzero(m)
-    ell[head] = np.log1p(m[head] / a[head])
-    e[head] = np.exp(-x[head] * ell[head])
-    inv_sm1 = (1.0 / (s - 1.0))[rows]
-    integral = n * e * inv_sm1
-    half = 0.5 * e
-    z += integral + half
+    e[head] = np.exp(-x * ell_head)
     if derivatives:
-        rate = ell + inv_sm1
-        z1 -= integral * rate + half * ell
-        z2 += integral * (rate * rate + inv_sm1 * inv_sm1) + half * (ell * ell)
+        ell = np.zeros(a.size)
+        ell[head] = ell_head
+    n = np.add(m, a, out=m)
+    for lo in range(0, a.size, _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        _add_tail([total[at] for total in out], n[at], e[at], ell[at] if derivatives else None,
+                  inv_sm1, c, rows[at])
+    if not derivatives:
+        return out[0].reshape(shape)
+    return tuple(total.reshape(shape) for total in out)
 
+
+def _add_tail(z, n, e, ell, inv_sm1, c, rows):
+    """Add the integral, the half-term and the corrections from N = ``n``
+    to Z, the first of the views ``z``, and with ``ell`` to dZ/ds and
+    d2Z/ds2, the other two: each element's e = (a/N)^s, ell = log(N/a),
+    and exponent s[rows[i]], whose 1/(s-1) ``inv_sm1`` and correction
+    coefficients ``c`` hold."""
+    inv = inv_sm1[rows]
+    integral = n * e * inv
+    half = 0.5 * e
+    z[0] += integral + half
     # the corrections are e/N sum_j c_j(s) N^(2-2j), and s enters e = (a/N)^s
     # as well: d/ds (e c_j) = e (c_j' - ell c_j)
-    c = _coefficients(s, derivatives)
     w = 1.0 / (n * n)
     q = e / n
     corr = _horner(c[0], rows, w)
-    z += q * corr
-    if not derivatives:
-        return z.reshape(shape)
+    z[0] += q * corr
+    if ell is None:
+        return
+    rate = ell + inv
+    z[1] -= integral * rate + half * ell
+    z[2] += integral * (rate * rate + inv * inv) + half * (ell * ell)
     corr1 = _horner(c[1], rows, w)
-    z1 += q * (corr1 - ell * corr)
-    z2 += q * (_horner(c[2], rows, w) - ell * (2.0 * corr1 - ell * corr))
-    return z.reshape(shape), z1.reshape(shape), z2.reshape(shape)
+    z[1] += q * (corr1 - ell * corr)
+    z[2] += q * (_horner(c[2], rows, w) - ell * (2.0 * corr1 - ell * corr))
 
 
 def hurwitz_zeta(s, a=1):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import inspect
 import math
@@ -489,6 +490,64 @@ def test_tables_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
         got = (values[lo:lo + size].tolist(), counts[lo:lo + size].tolist())
         assert got == table(expected)
         assert table(sample_n(params, count, RngStream(2**64 - 1, stream))) == got
+
+
+@pytest.mark.parametrize("a,beta,count,chunk", [
+    (1, 0.05, 10**5, 2**17),       # 11% of the proposals past the cap: 8-10 rounds
+    (1, 2.0, 30000, 16),           # first-round trials 17 for stream 5, 6-16 for the rest
+    (10**6, 1.13, 3000, 2000),     # no cells: rows, each short after its first batch
+])
+def test_block_rounds_equal_one_at_a_time(monkeypatch, a, beta, count, chunk):
+    # a block's replicas are drawn round by round, each round's envelope
+    # trials pooled into passes of at most `chunk` proposals, and a replica
+    # of more trials than that takes passes of its own, its last one shared
+    # with the next replicas; each replica is still the one its own stream
+    # gives when drawn alone (the table oracle, or the row oracle for the
+    # rows that finish through the same loop)
+    params = SamplerParams(a, beta)
+    _, pvals = composite(params, count)
+    streams = range(8)
+    rounds = collections.Counter()  # passes a replica's trials were in
+    shared = []
+    settle = dplfit.sampling._settle
+
+    def spy(tail, u, pooled, *rest):
+        assert u.size <= 2 * chunk
+        rounds.update({r for r, _ in pooled})
+        shared.append(len(pooled) > 1)
+        return settle(tail, u, pooled, *rest)
+
+    monkeypatch.setattr(dplfit.sampling, "_CHUNK", chunk)
+    monkeypatch.setattr(dplfit.sampling, "_settle", spy)
+    values, counts, lengths = sample_replicas(params, count, stream_starts(2, streams))
+    draw = table_one_at_a_time if draws_table(params, count) else variates_one_at_a_time
+    at = np.cumsum(lengths) - lengths
+    for lo, size, stream in zip(at, lengths, streams):
+        expected = IntegerSample(draw(params, count, RngStream(2, stream)))
+        assert (values[lo:lo + size].tolist(), counts[lo:lo + size].tolist()) == table(expected)
+    assert any(shared)
+    first = [int(uniforms(RngStream(2, s)).multinomial(count, pvals)[-1]) for s in streams]
+    if chunk == 2**17:
+        # every replica fits one pass, so each of its passes is a round
+        assert max(first) <= chunk and min(rounds.values()) >= 3
+    elif chunk == 16:
+        assert sorted(first)[-2:] == [16, 17]
+    else:
+        assert pvals.tolist() == [1.0] and dplfit.sampling._batch_size(params, count) > chunk
+
+
+@pytest.mark.parametrize("a,beta,count", [(1, 1.13, 22035), (10**6, 1.13, 20000)])
+def test_a_replica_does_not_depend_on_its_block(a, beta, count):
+    # replicas 0-63 drawn in one block, tables or rows that come up short,
+    # are those drawn as a block of 0-6 and one of 7-63: no replica reads
+    # another's stream, however their rounds are pooled
+    params = SamplerParams(a, beta)
+    starts = list(stream_starts(5, range(64)))
+    whole = sample_replicas(params, count, starts)
+    split = zip(sample_replicas(params, count, starts[:7]),
+                sample_replicas(params, count, starts[7:]))
+    for got, parts in zip(whole, split):
+        assert got.tolist() == np.concatenate(parts).tolist()
 
 
 @pytest.mark.parametrize("a,beta,count", [(2, 0.9, 700), (1, 5.0, 3), (1, 1.13, 22035),

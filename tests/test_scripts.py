@@ -38,6 +38,8 @@ def run_script(script, *args, cwd=None):
      r"a\*=1 in [01]/1 repetitions \(rate "),
     ("job_costs.py", "--corpus 300 --large 3000 --nsim 100 --repeats 1",
      r"spread of seconds per variate: \d+\.\d\nspread of seconds per price unit: \d+\.\d\n"),
+    ("layer_costs.py", "--cases 1:3000,5:300 --nsim 20 --repeats 1",
+     r"\n +1 +3000( +\d+\.\d\d){3}\n +5 +300( +\d+\.\d\d){3}\n$"),
 ])
 def test_experiment_script_runs(script, args, summary):
     proc = run_script(script, *args.split())

@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dplfit.zeta
 from dplfit.distribution import PowerLawModel
 from dplfit.zeta import (
     BERNOULLI_EVEN,
@@ -136,11 +138,14 @@ def test_batch_matches_one_at_a_time_across_budgets():
 
 
 @pytest.mark.parametrize("derivatives", [False, True])
-def test_rows_index_exponents_bit_for_bit(derivatives):
+def test_rows_index_exponents_bit_for_bit(monkeypatch, derivatives):
     # element i of scaled_zeta(s, a, rows=r) is the kernel at s[r[i]],
     # whatever other elements share its exponent; an array s is one
     # exponent an element and a scalar s one exponent for every element;
-    # every way gives each element what a call of its own scalars gives
+    # every way gives each element what a call of its own scalars gives,
+    # with the tail evaluated 7 elements at a time too: the head elements
+    # (a below N0, up to about 88 at s = 51) then sit in many chunks, on
+    # both sides of each boundary
     rng = np.random.default_rng(5)
     s = np.array([1.0001, 1.13, 2.13, 5.0, 51.0])
     rows = rng.integers(0, s.size, 400)
@@ -148,13 +153,31 @@ def test_rows_index_exponents_bit_for_bit(derivatives):
     # with derivatives, the (Z, Z', Z'') triple as one (3, n) array
     alone = np.array([scaled_zeta(float(s[r]), float(x), derivatives)
                       for r, x in zip(rows, a)]).T
-    assert np.array_equal(scaled_zeta(s, a, derivatives, rows=rows), alone)
-    assert np.array_equal(scaled_zeta(s[rows], a, derivatives), alone)
-    assert np.array_equal(scaled_zeta(s, 7.0, derivatives, rows=[[4, 0], [2, 2]]),
-                          scaled_zeta(s[[[4, 0], [2, 2]]], 7.0, derivatives))
-    for i in range(s.size):
-        one = np.array([scaled_zeta(s[i], float(x), derivatives) for x in a]).T
-        assert np.array_equal(scaled_zeta(s[i], a, derivatives), one)
+    ones = [np.array([scaled_zeta(s[i], float(x), derivatives) for x in a]).T
+            for i in range(s.size)]
+    for chunk in (dplfit.zeta._CHUNK, 7):
+        monkeypatch.setattr(dplfit.zeta, "_CHUNK", chunk)
+        assert np.array_equal(scaled_zeta(s, a, derivatives, rows=rows), alone)
+        assert np.array_equal(scaled_zeta(s[rows], a, derivatives), alone)
+        assert np.array_equal(scaled_zeta(s, 7.0, derivatives, rows=[[4, 0], [2, 2]]),
+                              scaled_zeta(s[[[4, 0], [2, 2]]], 7.0, derivatives))
+        for i, one in enumerate(ones):
+            assert np.array_equal(scaled_zeta(s[i], a, derivatives), one)
+
+
+def test_survival_memory_is_bounded_by_its_output():
+    # the kernel evaluates its tail a chunk at a time, so the survival at
+    # 10^6 points peaks at about five arrays of its output's size (8 MB
+    # each), not at the tail's 15 or so temporaries of that size
+    x = np.arange(1, 10**6 + 1)
+    model = PowerLawModel(1, 1.13)
+    tracemalloc.start()
+    try:
+        out = model.survival(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * out.nbytes
 
 
 def test_correction_term_closed_form():
