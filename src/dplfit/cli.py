@@ -11,6 +11,7 @@ corpus   : free text; the data are the frequencies of each distinct
 """
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -429,8 +430,13 @@ def build_parser():
     return parser
 
 
+# main's parser, built at main's first call, not at import, and reused by
+# every later call in the process: each build takes about a millisecond
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DplfitError, OSError, UnicodeDecodeError) as err:

@@ -26,6 +26,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
+from time import perf_counter
 
 import numpy as np
 
@@ -183,7 +184,9 @@ def _attempt(params, n_a, starts):
     ``sample_replicas``, one ``log_geo_means``, one ``solve_betas`` and one
     ``ks_distances`` call over all of them, each reading the tables of
     distinct values and counts as the sampler returns them.  Returns which
-    of them solved and those ones' KS distances.
+    of them solved, those ones' KS distances, and the wall seconds of the
+    draw (``sample_replicas``), the refit (``log_geo_means`` and
+    ``solve_betas``) and the KS pass (``ks_distances``).
 
     Each replica's ln G is its segment of one ``log_geo_means`` call, the
     function ``sufficient_stat`` calls with one segment, so it is
@@ -192,15 +195,23 @@ def _attempt(params, n_a, starts):
     test of its own; each replica is measured independently of the others,
     so measuring the unsolved ones changes no solved replica's distance.
     """
+    start = perf_counter()
     values, counts, lengths = sampling.sample_replicas(params, n_a, starts)
+    drawn = perf_counter()
     log_g = log_geo_means(values, counts, np.cumsum(lengths) - lengths, n_a)
     beta, _, status = solve_betas(log_g, params.a)
+    refit = perf_counter()
+    d = ks_distances(beta + 1.0, params.a, values, counts, lengths)
+    measured = perf_counter()
     solved = status == SOLVED
-    return solved, ks_distances(beta + 1.0, params.a, values, counts, lengths)[solved]
+    return solved, d[solved], (drawn - start, refit - drawn, measured - refit)
 
 
 # A cutoff's precondition errors: ``fit_at_a`` raises them, ``scan`` skips it.
 _PRECONDITIONS = (EmptyTailError, DegenerateDataError, ConvergenceError, TailTooLargeError)
+
+# The layers whose wall seconds ``_job`` returns, in their order.
+_LAYERS = ("fit", "keying", "draw", "refit", "ks")
 
 
 def _job(task):
@@ -209,17 +220,27 @@ def _job(task):
     attempt's start states from one ``stream_starts`` generator (which
     hashes each 256-id key block once) fed one block's ids at a time, so
     that a replica holds only its id and its distance.  Returns (N_a, the
-    fit, d_emp, the lost mass, the distances, the regenerations) or the
-    precondition error raised; stops once the regenerations pass the
-    budget of 100 n_sim.
+    fit, d_emp, the lost mass, the distances, the regenerations, the
+    seconds) or the precondition error raised; stops once the
+    regenerations pass the budget of 100 n_sim.
+    The seconds are the wall time of each of the job's five layers, an
+    array in the order of ``_LAYERS``: the empirical fit (``truncated``,
+    ``fit_beta`` and ``ks_statistic``), the keying (taking each block's
+    start states from ``stream_starts``) and ``_attempt``'s draw, refit
+    and KS pass, each summed over the blocks and attempts.  What they leave
+    out, the block split and the bookkeeping of ids and distances, is the
+    rest of the job's time.
     Raises ``DplfitError``, which is no precondition error, when the job
     runs out of memory, as the 8 GB of distances of 10^9 replicas do on a
     small machine."""
     sample, a, n_sim, seed, lo, hi = task
+    seconds = np.zeros(len(_LAYERS))
     try:
+        start = perf_counter()
         tail = sample.truncated(a)
         mle = fit_beta(sufficient_stat(tail), a)
         d_emp = ks_statistic(tail, PowerLawModel(a, mle.beta_emp)).d
+        seconds[0] = perf_counter() - start
         params = sampling.SamplerParams(a, mle.beta_emp)
         block = max(1, min(n_sim, _BLOCK_VALUES // tail.unique_values.size))
         d_sims = np.empty(hi - lo)
@@ -231,7 +252,11 @@ def _job(task):
                 sampling.replica_stream(ids, attempt).tolist() for ids in blocks))
             unsolved = []
             for ids in blocks:
-                solved, d = _attempt(params, tail.size, list(islice(starts, ids.size)))
+                start = perf_counter()
+                keyed = list(islice(starts, ids.size))
+                seconds[1] += perf_counter() - start
+                solved, d, layers = _attempt(params, tail.size, keyed)
+                seconds[2:] += layers
                 d_sims[ids[solved] - lo] = d
                 unsolved.append(ids[~solved])
             todo = np.concatenate(unsolved)
@@ -241,7 +266,7 @@ def _job(task):
         return err
     except MemoryError:  # the distances or ids of too many replicas
         raise DplfitError(f"replicas {lo} to {hi - 1} at a={a} do not fit in memory") from None
-    return tail.size, mle, d_emp, params.lost_mass, d_sims, regenerated
+    return tail.size, mle, d_emp, params.lost_mass, d_sims, regenerated, seconds
 
 
 def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
@@ -275,13 +300,13 @@ def _fits(sample, cutoffs, n_sim, workers, keep_d_sims=False):
         for (a, _), k in zip(cutoffs, splits):
             parts = list(islice(results, k))
             errors = [part for part in parts if isinstance(part, Exception)]
-            regenerated = 0 if errors else sum(r for *_, r in parts)
+            regenerated = 0 if errors else sum(part[5] for part in parts)
             if errors or regenerated > 100 * n_sim:
                 yield errors[0] if errors else ConvergenceError(
                     f"more than {100 * n_sim} replica refits failed at a={a}")
                 continue
-            n_a, mle, d_emp, lost_mass, _, _ = parts[0]
-            d_sims = np.concatenate([d for *_, d, _ in parts])
+            n_a, mle, d_emp, lost_mass, *_ = parts[0]
+            d_sims = np.concatenate([part[4] for part in parts])
             yield FitAtA(
                 a=int(a), n_a=n_a, beta_emp=mle.beta_emp, sigma=mle.sigma, d_emp=d_emp,
                 p=p_value(d_emp, d_sims), regenerated=regenerated,

@@ -631,6 +631,33 @@ def test_parser_has_documented_surface():
         assert sub in text
 
 
+def test_main_builds_one_parser_a_process(tmp_path):
+    # a fresh process that calls main twice counts the top-level parsers
+    # built (a subcommand's parser has a prog of its own): one, at the first
+    # call, and none at import
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat and the dog\n", encoding="utf-8")
+    child = textwrap.dedent(f"""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        from dplfit.cli import main
+        counts = [built.count("dplfit")]
+        for _ in range(2):
+            main(["tokenize", {str(corpus)!r}, "--out", {str(tmp_path / "tokens.tsv")!r}])
+            counts.append(built.count("dplfit"))
+        print(counts)
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 1]\n"
+
+
 def test_cli_fit_at_huge_cutoff(tmp_path, capsys):
     a = 10**12
     values = [a, a + 1, a + 3, a + 5, a + 100, 2 * a]

@@ -38,7 +38,7 @@ from dplfit.sampling import (
     stream_starts,
 )
 
-from oracles import expanded, replica_one_at_a_time
+from oracles import draws_table, expanded, replica_one_at_a_time
 
 
 def power_law_data(beta, n, seed, a=1):
@@ -182,7 +182,7 @@ def test_a_job_holds_16_bytes_a_replica(monkeypatch):
     # the block, not on n_sim
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(pipeline, "_attempt", lambda params, n_a, starts: (
-        np.ones(len(starts), dtype=bool), np.zeros(len(starts))))
+        np.ones(len(starts), dtype=bool), np.zeros(len(starts)), (0.0, 0.0, 0.0)))
     data = IntegerSample(np.random.default_rng(1).zipf(2.13, 36))
     small, large = (traced_peak(fit_at_a, data, 1, n_sim, 3) for n_sim in (20000, 80000))
     assert large - small <= 24 * (80000 - 20000)
@@ -301,7 +301,7 @@ def never_solving(seed, replicas, attempts):
 
     def never_solved(params, n_a, starts):
         solved = np.array([start not in stuck for start in starts])
-        return solved, np.zeros(np.count_nonzero(solved))
+        return solved, np.zeros(np.count_nonzero(solved)), (0.0, 0.0, 0.0)
 
     return never_solved
 
@@ -500,6 +500,25 @@ def test_fit_at_a_equals_one_replica_at_a_time(beta, n, a, seed):
            for i in range(100)]
     assert fit.d_sims == tuple(d for _, d in ref)
     assert fit.regenerated == sum(attempt for attempt, _ in ref)
+
+
+@pytest.mark.parametrize("a,tables", [(1, True), (6, False)])
+def test_job_clocks_its_layers(a, tables):
+    # a job run inline returns the wall seconds of its five layers, which
+    # never sum past the job's own wall time, at a cutoff whose replicas are
+    # drawn as tables and at one whose replicas are rows; the clocks change
+    # no replica, each still the one drawn, refit and measured alone
+    data = IntegerSample(np.random.default_rng(1).zipf(2.13, 5000))
+    start = time.perf_counter()
+    n_a, mle, _, _, d_sims, regenerated, seconds = pipeline._job((data, a, 100, 7, 0, 100))
+    wall = time.perf_counter() - start
+    assert draws_table(SamplerParams(a, mle.beta_emp), n_a) == tables
+    assert pipeline._LAYERS == ("fit", "keying", "draw", "refit", "ks")
+    assert seconds.shape == (5,) and (seconds >= 0).all()
+    assert seconds.sum() <= wall
+    ref = [replica_one_at_a_time(mle.beta_emp, a, n_a, 7, i) for i in range(100)]
+    assert d_sims.tolist() == [d for _, d in ref]
+    assert regenerated == sum(attempt for attempt, _ in ref)
 
 
 def test_regenerated_replica_depends_only_on_its_own_attempts(monkeypatch):

@@ -31,19 +31,32 @@ def run_script(script, *args, cwd=None):
     return run_python(str(ROOT / "scripts" / script), *args, cwd=cwd)
 
 
+# A row of scripts/job_costs.py: shape, a, N_a, D_a, the job's total in ms,
+# the price, ns per price unit and per variate, then the ms of each of the
+# job's five layers
+JOB_ROW = (r"^ *[a-z]+ +\d+ +\d+ +\d+ +(\d+\.\d{3}) +\d+ +\d+\.\d +\d+\.\d\d"
+           + r" +(\d+\.\d{3})" * 5 + "$")
+
+
 @pytest.mark.parametrize("script,args,summary", [
     ("calibration_selfconsistency.py", "--reps 4 --n 500 --nsim 100 --workers 2",
      r"rejection rate at p <= 0\.05: \d\.\d{4} \(99% band around 0\.05: "),
     ("scan_repetitions.py", "--reps 1 --n 300 --nsim 100 --workers 1",
      r"a\*=1 in [01]/1 repetitions \(rate "),
     ("job_costs.py", "--corpus 300 --large 3000 --nsim 100 --repeats 1",
-     r"spread of seconds per variate: \d+\.\d\nspread of seconds per price unit: \d+\.\d\n"),
-    ("layer_costs.py", "--cases 1:3000,5:300 --nsim 20 --repeats 1",
-     r"\n +1 +3000( +\d+\.\d\d){3}\n +5 +300( +\d+\.\d\d){3}\n$"),
+     r"(?m)^ *shape +a +N_a +D_a +ms +price +ns/unit +ns/variate +fit +keying +draw +refit +ks\n"
+     rf"({JOB_ROW}\n)+"
+     r"share of the jobs' time: fit \d+\.\d% keying \d+\.\d% draw \d+\.\d%"
+     r" refit \d+\.\d% ks \d+\.\d%\n"
+     r"spread of seconds per variate: \d+\.\d\nspread of seconds per price unit: \d+\.\d\n$"),
 ])
 def test_experiment_script_runs(script, args, summary):
     proc = run_script(script, *args.split())
     assert re.search(summary, proc.stdout), proc.stdout
+    # a job's layers, as the job clocks them, sum to no more than its total,
+    # each printed to the microsecond
+    for total, *layers in re.findall(JOB_ROW, proc.stdout, re.M):
+        assert sum(map(float, layers)) <= float(total) + 0.003, proc.stdout
     band = re.search(r"band around [\d.]+: \[(\S+), (\S+)\]", proc.stdout)
     if band:
         # the 0.5% and 99.5% binomial quantiles of 4 repetitions at 0.05:
